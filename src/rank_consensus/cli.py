@@ -7,13 +7,12 @@
     rank-consensus correlate INPUT --measure kendall_topk --topk 10 --penalty 0.5
 
 Exit codes: 0 success, 1 parameter/input errors, 2 unexpected failures.
-``RANK_CONSENSUS_THREADS`` sets the default worker count (0 = one per CPU);
-``--threads`` overrides it per run.
+Scoring reads the ranking set's pattern table, counted once per set, so
+``sweep`` counts patterns once for its whole grid.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -28,13 +27,12 @@ _DEFAULT_Q_FRAC = "1/2"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One invocation, fully resolved from flags and environment."""
+    """One invocation, fully resolved from flags."""
 
     command: str
     input: str
     input_format: str = "lines"
     out_format: str = "json"
-    threads: int | None = None
     q: int | None = None
     q_frac: str | None = None
     gamma: float = 1.0
@@ -61,7 +59,6 @@ class RunConfig:
             input=args.input,
             input_format=get("input_format", "lines"),
             out_format=get("out_format", "json"),
-            threads=get("threads"),
             q=get("q"),
             q_frac=get("q_frac"),
             gamma=get("gamma", 1.0),
@@ -99,9 +96,6 @@ def _add_input_args(sub: argparse.ArgumentParser, default_fmt: str = "json") -> 
                      help="input file format (default: lines)")
     sub.add_argument("--format", dest="out_format", choices=["json", "csv"],
                      default=default_fmt, help=f"output format (default: {default_fmt})")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (0 = one per CPU; default: "
-                          "RANK_CONSENSUS_THREADS or single-threaded)")
 
 
 def _add_score_args(sub: argparse.ArgumentParser) -> None:
@@ -172,38 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("RANK_CONSENSUS_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"RANK_CONSENSUS_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ParameterError(f"RANK_CONSENSUS_THREADS must be >= 0, got {value}")
-    return value
-
-
-def _resolve_threads(cfg: RunConfig) -> int | None:
-    threads = cfg.threads if cfg.threads is not None else _threads_from_env()
-    if threads is not None and threads < 0:
-        raise ParameterError(f"--threads must be >= 0, got {threads}")
-    if threads == 0:
-        threads = os.cpu_count()
-    return threads
-
-
 def _run(cfg: RunConfig) -> str:
-    threads = _resolve_threads(cfg)
     rset = parse_rankings(cfg.input, cfg.input_format)
     n = len(rset)
 
     if cfg.command in ("score", "patterns", "outliers"):
         params = ScoreParams(q=cfg.resolve_q(n), gamma=cfg.gamma, lam=cfg.lam)
-        report = score(rset, params, threads=threads)
+        report = score(rset, params)
         if cfg.command == "score":
             return emit_report(report, cfg.out_format)
         if cfg.command == "patterns":
@@ -211,9 +180,7 @@ def _run(cfg: RunConfig) -> str:
         outrep = detect_outliers(report, eps1=cfg.eps1, eps2=cfg.eps2)
         rescored = None
         if cfg.remove:
-            rescored = remove_and_rescore(
-                rset, outrep, params, rescale_q=not cfg.absolute_q, threads=threads
-            )
+            rescored = remove_and_rescore(rset, outrep, params, rescale_q=not cfg.absolute_q)
         return emit_report(outrep, cfg.out_format, rescored=rescored)
 
     if cfg.command == "sweep":
@@ -226,7 +193,7 @@ def _run(cfg: RunConfig) -> str:
             q = q_from_fraction(frac, n)
             for gamma in cfg.gammas:
                 for lam in cfg.lams:
-                    rep = score(rset, ScoreParams(q=q, gamma=gamma, lam=lam), threads=threads)
+                    rep = score(rset, ScoreParams(q=q, gamma=gamma, lam=lam))
                     rows.append({
                         "q": q,
                         "qOverN": frac,

@@ -151,7 +151,12 @@ def parse_rankings_text(text: str, fmt: str = "lines", source: str = "<string>")
 
 def parse_rankings(path: str | Path, fmt: str = "lines") -> RankingSet:
     path = Path(path)
-    return parse_rankings_text(path.read_text(encoding="utf-8"), fmt, source=str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
+    return parse_rankings_text(text, fmt, source=str(path))
 
 
 def render_rankings(rset: RankingSet) -> str:

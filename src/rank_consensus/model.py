@@ -4,12 +4,16 @@ A ranking is an ordered sequence of tie blocks over opaque string items; a
 strict ranking is the special case of all-singleton blocks. An item's
 position is the 1-based index of its block, and 0 encodes absence, so every
 downstream formula treats incomplete rankings uniformly. All types are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads; a set
+computes its pattern statistics once, on first use, and keeps them.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,42 @@ class RankingSet:
 
     def __getitem__(self, index: int) -> Ranking:
         return self.rankings[index]
+
+    def __reduce__(self):
+        # pickle the rankings only; the cached table is recounted on demand
+        return (RankingSet, (self.rankings,))
+
+    @cached_property
+    def pattern_stats(self) -> Mapping[tuple[str, str], tuple[int, int]]:
+        """``(count, total)`` for every ordered pattern some ranking contains.
+
+        ``count`` is the pattern's support and ``total`` sums its position
+        (``x x``) or its gap ``pos(y) - pos(x)`` over the rankings that
+        contain it. Neither depends on a threshold or a weight, so every
+        scoring run on this set reads the same read-only table.
+        """
+        return MappingProxyType(count_patterns(self.rankings))
+
+
+def count_patterns(rankings: Iterable[Ranking]) -> dict[tuple[str, str], tuple[int, int]]:
+    """One pass over each distinct ranking's own ordered patterns.
+
+    A ranking contains ``x y`` when ``0 < pos(x) <= pos(y)``, so tied items
+    give both orders and ``x x`` is membership. Duplicate rankings are
+    counted once and weighted by their multiplicity.
+    """
+    stats: dict[tuple[str, str], tuple[int, int]] = {}
+    for ranking, times in Counter(rankings).items():
+        placed = list(ranking._positions.items())  # item order, positions ascending
+        start = 0  # index of the first item in x's tie block
+        for i, (x, px) in enumerate(placed):
+            if px > placed[start][1]:
+                start = i
+            for y, py in placed[start:]:
+                value = px if y == x else py - px
+                count, total = stats.get((x, y), (0, 0))
+                stats[x, y] = (count + times, total + times * value)
+    return stats
 
 
 def position(item: str, ranking: Ranking) -> int:

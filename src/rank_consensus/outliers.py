@@ -70,7 +70,7 @@ def detect_outliers(report: ConsensusReport, eps1: float = 0.4, eps2: float = 0.
 
 
 def remove_and_rescore(rset: RankingSet, outlier_report: OutlierReport, params: ScoreParams,
-                       *, rescale_q: bool = True, threads: int | None = None) -> ConsensusReport:
+                       *, rescale_q: bool = True) -> ConsensusReport:
     """Drop the flagged rankings and score the remainder.
 
     By default the threshold keeps its *relative* strength: ``q`` becomes
@@ -94,4 +94,4 @@ def remove_and_rescore(rset: RankingSet, outlier_report: OutlierReport, params: 
     else:
         q_new = params.q
     new_params = ScoreParams(q=q_new, gamma=params.gamma, lam=params.lam)
-    return score(survivors, new_params, threads=threads)
+    return score(survivors, new_params)

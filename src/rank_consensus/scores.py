@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import RankingSet
-from .support import SupportMatrix, SupportSets, support_matrices_fast, support_sets
+from .support import (
+    SupportMatrix,
+    SupportSets,
+    _check_params,
+    support_matrices_fast,
+    support_sets,
+)
 
 
 @dataclass(frozen=True)
@@ -29,14 +35,8 @@ class ScoreParams:
     gamma: float = 1.0
     lam: float = 1.0
 
-    def validate(self, n_rankings: int) -> None:
-        if not isinstance(self.q, int) or isinstance(self.q, bool):
-            raise ParameterError(f"q must be an integer, got {self.q!r}")
-        if not 1 <= self.q <= n_rankings:
-            raise ParameterError(f"q must be in [1, {n_rankings}], got {self.q}")
-        for name, value in (("gamma", self.gamma), ("lambda", self.lam)):
-            if not 0.0 < value <= 1.0:
-                raise ParameterError(f"{name} must be in (0, 1], got {value}")
+    def validate(self, rset: RankingSet) -> None:
+        _check_params(rset, self.q, self.gamma, self.lam)
 
 
 def q_from_fraction(frac: Fraction | str | float, n_rankings: int) -> int:
@@ -46,10 +46,12 @@ def q_from_fraction(frac: Fraction | str | float, n_rankings: int) -> int:
     e.g. ``0.67`` means the decimal 67/100, not its binary neighbour (whose
     ceil can come out one too high).
     """
-    if isinstance(frac, float):
-        frac = Fraction(str(frac))
-    else:
-        frac = Fraction(frac)
+    try:
+        frac = Fraction(str(frac) if isinstance(frac, float) else frac)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(
+            f"threshold fraction must be a number in (0, 1], got {frac!r}"
+        ) from None
     if not 0 < frac <= 1:
         raise ParameterError(f"threshold fraction must be in (0, 1], got {frac}")
     scaled = frac * n_rankings
@@ -135,12 +137,9 @@ class ConsensusReport:
     matrices: tuple[SupportMatrix, ...]
 
 
-def score(rset: RankingSet, params: ScoreParams, *, threads: int | None = None) -> ConsensusReport:
+def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
     """Score every ranking in the set and average."""
-    params.validate(len(rset))
-    matrices = support_matrices_fast(
-        rset, params.q, gamma=params.gamma, lam=params.lam, threads=threads
-    )
+    matrices = support_matrices_fast(rset, params.q, gamma=params.gamma, lam=params.lam)
     sets = support_sets(matrices, rset)
     per = []
     for mat in matrices:

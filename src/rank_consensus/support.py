@@ -11,13 +11,14 @@ pair's gap deviation from its set-wide mean gap).
 
 Two construction routes are provided on purpose: :func:`support_matrix_naive`
 rescans the whole set for every entry and is the reference oracle, while
-:func:`support_matrices_fast` memoizes one verdict per ordered pattern and
-abandons counts that can no longer reach ``q``. They must agree entrywise.
+:func:`support_matrices_fast` reads every entry from the set's pattern
+table (:attr:`RankingSet.pattern_stats`), which one counting pass builds
+once per set and every threshold and weight reuses. They must agree
+entrywise.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,7 @@ class SupportSets:
 
 
 def _check_params(rset: RankingSet, q: int, gamma: float, lam: float) -> None:
+    """The one validator of a threshold and weights for ``rset``."""
     n = len(rset)
     if not isinstance(q, int) or isinstance(q, bool):
         raise ParameterError(f"q must be an integer, got {q!r}")
@@ -141,91 +143,36 @@ def support_matrix_naive(l: int, rset: RankingSet, q: int,
     return SupportMatrix(owner=l, items=items, entries=entries, supported=mask)
 
 
-@dataclass(frozen=True)
-class _Verdict:
-    supported: bool
-    count: int
-    total: int  # position sum (x == y) or gap sum; meaningful only when supported
-
-
-class _PatternMemo:
-    """One verdict per ordered pattern, shared by all matrices of a set.
-
-    Lookups are idempotent (a racing recompute writes the identical value),
-    so concurrent matrix builds stay deterministic.
-    """
-
-    def __init__(self, rset: RankingSet, q: int):
-        self._rset = rset
-        self._q = q
-        self._table: dict[tuple[str, str], _Verdict] = {}
-
-    def lookup(self, x: str, y: str) -> _Verdict:
-        verdict = self._table.get((x, y))
-        if verdict is None:
-            verdict = self._count(x, y)
-            self._table[(x, y)] = verdict
-        return verdict
-
-    def _count(self, x: str, y: str) -> _Verdict:
-        q = self._q
-        n = len(self._rset)
-        count = 0
-        total = 0
-        for z, rz in enumerate(self._rset, start=1):
-            px = rz.position(x)
-            if x == y:
-                if px:
-                    count += 1
-                    total += px
-            elif px:
-                py = rz.position(y)
-                if py and px <= py:
-                    count += 1
-                    total += py - px
-            if count + (n - z) < q:
-                # cannot reach q anymore; count stays partial
-                return _Verdict(False, count, 0)
-        return _Verdict(True, count, total)
-
-
 def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
-                          lam: float = 1.0, threads: int | None = None) -> list[SupportMatrix]:
-    """All per-ranking support matrices, reusing one verdict per pattern.
+                          lam: float = 1.0) -> list[SupportMatrix]:
+    """All per-ranking support matrices, read off the set's pattern table.
 
     Entrywise identical to running :func:`support_matrix_naive` for every
-    ranking. ``threads`` > 1 builds matrices concurrently over the shared
-    memo; the result does not depend on scheduling.
+    ranking.
     """
     _check_params(rset, q, gamma, lam)
-    memo = _PatternMemo(rset, q)
-
-    def build(l: int) -> SupportMatrix:
-        ranking = rset[l]
+    stats = rset.pattern_stats
+    matrices = []
+    for l, ranking in enumerate(rset):
         items = ranking.items
         m = len(items)
+        positions = [ranking.position(x) for x in items]
         entries = np.zeros((m, m))
         mask = np.zeros((m, m), dtype=bool)
         for i in range(m):
             x = items[i]
-            px = ranking.position(x)
+            px = positions[i]
             for j in range(i, m):
-                y = items[j]
-                verdict = memo.lookup(x, y)
-                if not verdict.supported:
+                count, total = stats[x, items[j]]
+                if count < q:
                     continue
                 mask[j, i] = True
                 if i == j:
-                    entries[j, i] = _weight(gamma, _deviation(px, verdict.total, verdict.count))
+                    entries[j, i] = _weight(gamma, _deviation(px, total, count))
                 else:
-                    gap = ranking.position(y) - px
-                    entries[j, i] = _weight(lam, _deviation(gap, verdict.total, verdict.count))
-        return SupportMatrix(owner=l, items=items, entries=entries, supported=mask)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, range(len(rset))))
-    return [build(l) for l in range(len(rset))]
+                    entries[j, i] = _weight(lam, _deviation(positions[j] - px, total, count))
+        matrices.append(SupportMatrix(owner=l, items=items, entries=entries, supported=mask))
+    return matrices
 
 
 def support_sets(matrices: list[SupportMatrix], rset: RankingSet) -> SupportSets:

@@ -167,37 +167,26 @@ def test_help_exits_zero(capsys):
     assert cli.main(["score", "--help"]) == 0
 
 
-def test_threads_flag_keeps_output_identical(example_file, capsys):
-    _, serial, _ = run(capsys, "score", example_file, "--q", "3", "--lambda", "0.5")
-    _, threaded, _ = run(capsys, "score", example_file, "--q", "3", "--lambda", "0.5",
-                         "--threads", "4")
-    assert serial == threaded
-
-
-def test_threads_env_var(example_file, capsys, monkeypatch):
-    monkeypatch.setenv("RANK_CONSENSUS_THREADS", "2")
-    code, out, _ = run(capsys, "score", example_file, "--q", "3")
-    assert code == 0
-    assert json.loads(out)["overall"]["kappa2"] == 0.6
-
-
-def test_threads_env_var_auto(example_file, capsys, monkeypatch):
-    monkeypatch.setenv("RANK_CONSENSUS_THREADS", "0")
-    code, _, _ = run(capsys, "score", example_file, "--q", "3")
-    assert code == 0
-
-
-def test_invalid_threads_env_var(example_file, capsys, monkeypatch):
-    monkeypatch.setenv("RANK_CONSENSUS_THREADS", "lots")
-    code, _, err = run(capsys, "score", example_file, "--q", "3")
+@pytest.mark.parametrize("argv", [
+    ["score", "--q-frac", "abc"],
+    ["score", "--q-frac", "nan"],
+    ["sweep", "--q-fracs", "1/0"],
+])
+def test_bad_threshold_text_exits_one(example_file, capsys, argv):
+    code, out, err = run(capsys, argv[0], example_file, *argv[1:])
     assert code == 1
-    assert "RANK_CONSENSUS_THREADS" in err
+    assert out == ""
+    assert repr(argv[-1]) in err
 
 
-def test_negative_threads_rejected(example_file, capsys):
-    code, _, err = run(capsys, "score", example_file, "--threads", "-1")
+def test_non_utf8_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"a,b\nb,\xff\n")
+    code, out, err = run(capsys, "score", str(path))
     assert code == 1
-    assert "--threads" in err
+    assert out == ""
+    assert str(path) in err
+    assert "byte offset 6" in err
 
 
 def test_unexpected_failure_exits_two(example_file, capsys, monkeypatch):

@@ -87,6 +87,13 @@ def test_parse_rankings_missing_file(tmp_path):
         parse_rankings(tmp_path / "absent.txt")
 
 
+def test_parse_rankings_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("a,b\nb,c\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=r"latin1\.txt: not valid UTF-8 at byte offset 7"):
+        parse_rankings(path)
+
+
 def test_unknown_input_format():
     with pytest.raises(ParameterError, match="unknown input format"):
         parse_rankings_text("a,b\n", fmt="xml")

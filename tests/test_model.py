@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -110,3 +112,22 @@ def test_pattern_order_matches_positions(r):
         for y in items:
             expected = r.position(x) <= r.position(y)
             assert r.contains_pattern(x, y) == expected
+
+
+def test_pattern_stats_counts_ties_both_ways_and_repeats():
+    tied = Ranking([["a", "b"], ["c"]])
+    rs = RankingSet([tied, tied, Ranking.strict("ca")])
+    stats = rs.pattern_stats
+    assert stats["a", "b"] == stats["b", "a"] == (2, 0)
+    assert stats["a", "a"] == (3, 1 + 1 + 2)
+    assert stats["a", "c"] == (2, 2)
+    assert stats["c", "a"] == (1, 1)
+    assert ("c", "b") not in stats
+    assert rs.pattern_stats is stats
+
+
+def test_ranking_set_pickles_after_counting(example_set):
+    example_set.pattern_stats
+    copy = pickle.loads(pickle.dumps(example_set))
+    assert copy == example_set
+    assert copy.pattern_stats == example_set.pattern_stats

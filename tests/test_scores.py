@@ -17,6 +17,7 @@ from rank_consensus import (
     q_from_fraction,
     score,
 )
+from rank_consensus import model
 
 
 def test_plain_scores_on_example(example_set):
@@ -79,10 +80,18 @@ def test_score_is_deterministic(example_set):
     assert [r.kappa2 for r in a.per_ranking] == [r.kappa2 for r in b.per_ranking]
 
 
-def test_threads_do_not_change_scores(example_set):
-    a = score(example_set, ScoreParams(q=3, lam=0.5))
-    b = score(example_set, ScoreParams(q=3, lam=0.5), threads=3)
-    assert [r.kappa2 for r in a.per_ranking] == [r.kappa2 for r in b.per_ranking]
+def test_scoring_many_points_counts_patterns_once(example_set, monkeypatch):
+    calls = []
+    real = model.count_patterns
+
+    def counting(rankings):
+        calls.append(1)
+        return real(rankings)
+
+    monkeypatch.setattr(model, "count_patterns", counting)
+    for q, gamma, lam in [(1, 1.0, 1.0), (2, 0.5, 1.0), (3, 1.0, 0.2), (4, 0.9, 0.8)]:
+        score(example_set, ScoreParams(q=q, gamma=gamma, lam=lam))
+    assert len(calls) == 1
 
 
 def test_invalid_params_rejected(example_set):
@@ -114,7 +123,7 @@ def test_q_from_fraction_decimal_strings_are_exact():
 
 
 def test_q_from_fraction_rejects_out_of_range():
-    for bad in ("0", "-1/2", "3/2", "1.01"):
+    for bad in ("0", "-1/2", "3/2", "1.01", "abc", "nan", "inf", "1/0"):
         with pytest.raises(ParameterError):
             q_from_fraction(bad, 10)
 
