@@ -7,7 +7,7 @@ Two input formats:
 * ``preflib`` — preference-library election files: ``#``-prefixed metadata
   (``ALTERNATIVE NAME i`` entries rename numeric items), then
   ``count: order`` rows whose orders use the same brace syntax and are
-  repeated ``count`` times.
+  repeated ``count`` times, up to :data:`MAX_VOTES` votes per file.
 
 Reports serialise to JSON (full-precision floats plus 2-decimal display
 strings) or CSV. Both are deterministic: equal inputs give byte-equal
@@ -30,6 +30,10 @@ from .scores import ConsensusReport
 # parsing
 
 _SPECIALS = ",{}"
+# most votes one preflib file may expand to; every vote is scored and emitted
+# on its own (about 1 KB to score, several more as JSON), so this bounds the
+# memory of a run
+MAX_VOTES = 10**6
 
 
 def _parse_ranking(text: str, where: str) -> Ranking:
@@ -104,6 +108,7 @@ def _parse_lines(text: str, source: str) -> RankingSet:
 def _parse_preflib(text: str, source: str) -> RankingSet:
     names: dict[str, str] = {}
     rankings: list[Ranking] = []
+    n_votes = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         where = f"{source}:{lineno}"
@@ -124,6 +129,10 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
             raise ParseError(f"{where}: vote count {count_text.strip()!r} is not an integer") from None
         if count <= 0:
             raise ParseError(f"{where}: vote count must be positive, got {count}")
+        n_votes += count
+        if n_votes > MAX_VOTES:
+            raise ParseError(f"{where}: vote count {count} brings the file's total "
+                             f"to {n_votes}, above the limit of {MAX_VOTES}")
         ranking = _parse_ranking(order_text, where)
         if names:
             try:

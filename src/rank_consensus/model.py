@@ -4,16 +4,21 @@ A ranking is an ordered sequence of tie blocks over opaque string items; a
 strict ranking is the special case of all-singleton blocks. An item's
 position is the 1-based index of its block, and 0 encodes absence, so every
 downstream formula treats incomplete rankings uniformly. All types are
-immutable after construction and safe to share across threads; a set
-computes its pattern statistics once, on first use, and keeps them.
+immutable after construction and safe to share across threads.
+
+A set counts its patterns once, on first use, and keeps the result as a
+:class:`PatternTable`: one vectorised pass over its distinct rankings gives
+every ordered pattern's support and position/gap total, laid out per
+distinct ranking in the cell order of its support matrix.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class Ranking:
     @property
     def items(self) -> tuple[str, ...]:
         """All items, block by block (sorted within a block)."""
-        return tuple(token for block in self.blocks for token in block)
+        return tuple(self._positions)  # filled block by block
 
     @property
     def item_set(self) -> frozenset[str]:
@@ -123,36 +128,120 @@ class RankingSet:
         return (RankingSet, (self.rankings,))
 
     @cached_property
-    def pattern_stats(self) -> Mapping[tuple[str, str], tuple[int, int]]:
-        """``(count, total)`` for every ordered pattern some ranking contains.
+    def pattern_stats(self) -> PatternTable:
+        """Support statistics of every ordered pattern the set contains.
 
-        ``count`` is the pattern's support and ``total`` sums its position
-        (``x x``) or its gap ``pos(y) - pos(x)`` over the rankings that
-        contain it. Neither depends on a threshold or a weight, so every
-        scoring run on this set reads the same read-only table.
+        Neither support nor the position/gap totals depend on a threshold or
+        a weight, so every scoring run on this set reads the same read-only
+        table.
         """
-        return MappingProxyType(count_patterns(self.rankings))
+        return count_patterns(self.rankings)
 
 
-def count_patterns(rankings: Iterable[Ranking]) -> dict[tuple[str, str], tuple[int, int]]:
-    """One pass over each distinct ranking's own ordered patterns.
+@lru_cache(maxsize=None)
+def lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the cells ``[j, i]``, ``i <= j``, of an
+    ``m x m`` matrix, row by row; shared and read-only."""
+    cells = np.tril_indices(m)
+    for a in cells:
+        a.flags.writeable = False
+    return cells
 
-    A ranking contains ``x y`` when ``0 < pos(x) <= pos(y)``, so tied items
-    give both orders and ``x x`` is membership. Duplicate rankings are
-    counted once and weighted by their multiplicity.
+
+@dataclass(frozen=True, eq=False)
+class PatternTable:
+    """Pattern counts of a ranking set, laid out per distinct ranking.
+
+    ``types`` are the distinct rankings in order of first appearance and
+    ``type_of[l]`` is the type of vote ``l``. Type ``t`` owns the entries
+    ``offsets[t]:offsets[t + 1]``, one per cell of
+    ``lower_triangle(len(types[t]))``; cell ``[j, i]`` is the pattern formed
+    by its i-th and j-th items. Per entry, ``count`` is the pattern's
+    support, ``total`` sums its position (``diag``) or its gap over the
+    rankings that contain it, and ``value`` is the type's own position or
+    gap. ``keys``/``counts``/``totals`` list every counted pattern under the
+    key ``ids[x] * len(ids) + ids[y]``, for :meth:`lookup`. All arrays are
+    read-only.
     """
-    stats: dict[tuple[str, str], tuple[int, int]] = {}
-    for ranking, times in Counter(rankings).items():
-        placed = list(ranking._positions.items())  # item order, positions ascending
-        start = 0  # index of the first item in x's tie block
-        for i, (x, px) in enumerate(placed):
-            if px > placed[start][1]:
-                start = i
-            for y, py in placed[start:]:
-                value = px if y == x else py - px
-                count, total = stats.get((x, y), (0, 0))
-                stats[x, y] = (count + times, total + times * value)
-    return stats
+
+    types: tuple[Ranking, ...]
+    type_of: tuple[int, ...]
+    offsets: np.ndarray
+    count: np.ndarray
+    total: np.ndarray
+    value: np.ndarray
+    diag: np.ndarray
+    ids: Mapping[str, int]
+    keys: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+
+    _ARRAYS = ("offsets", "count", "total", "value", "diag", "keys", "counts", "totals")
+
+    def __eq__(self, other):
+        if not isinstance(other, PatternTable):
+            return NotImplemented
+        return ((self.types, self.type_of, self.ids) == (other.types, other.type_of, other.ids)
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in self._ARRAYS))
+
+    def lookup(self, x: str, y: str) -> tuple[int, int]:
+        """``(count, total)`` of the pattern ``x y``; ``(0, 0)`` if uncounted."""
+        if x not in self.ids or y not in self.ids:
+            return 0, 0
+        key = self.ids[x] * len(self.ids) + self.ids[y]
+        i = int(np.searchsorted(self.keys, key))
+        if i < len(self.keys) and self.keys[i] == key:
+            return int(self.counts[i]), int(self.totals[i])
+        return 0, 0
+
+
+def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
+    """One vectorised pass over each distinct ranking's own ordered patterns.
+
+    A ranking contains ``x y`` when ``0 < pos(x) <= pos(y)``: its own
+    lower-triangle cells, plus the reverse of every tied pair, and ``x x``
+    is membership. The keys of all distinct rankings go through one
+    ``np.unique``; two ``np.bincount`` calls weighted by multiplicity give
+    the counts and totals. Float weights stay exact while the sums are
+    below 2**53, far above any vote total the parsers accept.
+    """
+    index: dict[Ranking, int] = {}
+    type_of = tuple(index.setdefault(r, len(index)) for r in rankings)
+    types = tuple(index)
+    times = np.bincount(type_of).astype(float)
+    ids = {x: i for i, x in enumerate(sorted(frozenset().union(*(r.item_set for r in types))))}
+    u = len(ids)
+    own, tied, values, diags = [], [], [], []
+    for r in types:
+        rows, cols = lower_triangle(len(r))
+        item = np.array([ids[x] for x in r._positions], dtype=np.int64)
+        pos = np.array(list(r._positions.values()), dtype=np.int64)
+        gap = pos[rows] - pos[cols]
+        diag = rows == cols
+        tie = (gap == 0) & ~diag
+        own.append(item[cols] * u + item[rows])
+        tied.append(item[rows[tie]] * u + item[cols[tie]])
+        values.append(np.where(diag, pos[rows], gap))
+        diags.append(diag)
+    sizes = [len(k) for k in own]
+    n_own = sum(sizes)
+    weight = np.concatenate((np.repeat(times, sizes), np.repeat(times, [len(k) for k in tied])))
+    keys, inverse = np.unique(np.concatenate(own + tied), return_inverse=True)
+    del own, tied
+    value = np.concatenate(values)
+    entry = inverse[:n_own]  # the pattern of each own cell
+    counts = np.bincount(inverse, weights=weight).astype(np.int64)
+    totals = np.bincount(entry, weights=weight[:n_own] * value,
+                         minlength=len(keys)).astype(np.int64)
+    arrays = dict(
+        offsets=np.cumsum([0] + sizes),
+        count=counts[entry], total=totals[entry], value=value,
+        diag=np.concatenate(diags), keys=keys, counts=counts, totals=totals,
+    )
+    for a in arrays.values():
+        a.flags.writeable = False
+    return PatternTable(types=types, type_of=type_of, ids=MappingProxyType(ids), **arrays)
 
 
 def position(item: str, ranking: Ranking) -> int:

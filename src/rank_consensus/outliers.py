@@ -55,6 +55,11 @@ def detect_outliers(report: ConsensusReport, eps1: float = 0.4, eps2: float = 0.
             raise ParameterError(f"{name} must be positive, got {value}")
     mean1 = report.overall_kappa1
     mean2 = report.overall_kappa2
+    if all(rs.singleton for rs in report.per_ranking):
+        raise DegenerateConsensusError(
+            "relative deviations are undefined: every ranking has a single item, "
+            f"so there are no pairs and kappa2 is 0 by convention (kappa1={mean1})"
+        )
     if mean1 <= 0 or mean2 <= 0:
         raise DegenerateConsensusError(
             "relative deviations are undefined: mean scores are "

@@ -7,12 +7,16 @@ ordered pairs that reach it). Overall scores average the per-ranking values.
 With weights ``gamma``/``lam`` below 1, certified entries decay with the
 distance between the owner ranking's placement and the set-wide mean
 placement, so the scores reward agreement *and* proximity.
+
+Rankings that share a matrix (duplicates) are scored once. A report's
+supported-pattern sets are built only when first read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -126,35 +130,44 @@ class RankingScore:
 
 @dataclass(frozen=True, eq=False)
 class ConsensusReport:
-    """Everything a scoring run produced, in one place."""
+    """Everything a scoring run produced, in one place.
+
+    ``sets`` is built from the matrices the first time it is read, so runs
+    whose output never prints the supported patterns do not pay for them.
+    """
 
     params: ScoreParams
     n_rankings: int
     per_ranking: tuple[RankingScore, ...]
     overall_kappa1: float
     overall_kappa2: float
-    sets: SupportSets
     matrices: tuple[SupportMatrix, ...]
+    rset: RankingSet = field(repr=False)
+
+    @cached_property
+    def sets(self) -> SupportSets:
+        return support_sets(list(self.matrices), self.rset)
 
 
 def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
-    """Score every ranking in the set and average."""
+    """Score every ranking in the set and average.
+
+    Duplicate rankings share one matrix, which is scored once.
+    """
     matrices = support_matrices_fast(rset, params.q, gamma=params.gamma, lam=params.lam)
-    sets = support_sets(matrices, rset)
+    # keyed by array identity: every matrix, so every key, outlives the loop
+    kappas: dict[int, tuple[float, float]] = {}
     per = []
     for mat in matrices:
         m = mat.m
         n_pairs = m * (m - 1) // 2
-        trace = float(np.trace(mat.entries))
-        kappa1 = trace / m
-        if n_pairs:
-            kappa2 = (float(mat.entries.sum()) - trace) / n_pairs
-            singleton = False
-        else:
-            kappa2 = 0.0
-            singleton = True
+        kappa = kappas.get(id(mat.entries))
+        if kappa is None:
+            trace = float(np.trace(mat.entries))
+            kappa2 = (float(mat.entries.sum()) - trace) / n_pairs if n_pairs else 0.0
+            kappa = kappas[id(mat.entries)] = (trace / m, kappa2)
         per.append(RankingScore(index=mat.owner, m=m, n_pairs=n_pairs,
-                                kappa1=kappa1, kappa2=kappa2, singleton=singleton))
+                                kappa1=kappa[0], kappa2=kappa[1], singleton=not n_pairs))
     n = len(per)
     overall1 = math.fsum(r.kappa1 for r in per) / n
     overall2 = math.fsum(r.kappa2 for r in per) / n
@@ -164,6 +177,6 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
         per_ranking=tuple(per),
         overall_kappa1=overall1,
         overall_kappa2=overall2,
-        sets=sets,
         matrices=tuple(matrices),
+        rset=rset,
     )

@@ -11,10 +11,10 @@ pair's gap deviation from its set-wide mean gap).
 
 Two construction routes are provided on purpose: :func:`support_matrix_naive`
 rescans the whole set for every entry and is the reference oracle, while
-:func:`support_matrices_fast` reads every entry from the set's pattern
-table (:attr:`RankingSet.pattern_stats`), which one counting pass builds
-once per set and every threshold and weight reuses. They must agree
-entrywise.
+:func:`support_matrices_fast` thresholds and weights the entries of the
+set's pattern table (:attr:`RankingSet.pattern_stats`) in whole-array
+operations and builds one read-only matrix per distinct ranking, which
+duplicate rankings share. They must agree entrywise.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import Ranking, RankingSet
+from .model import Ranking, RankingSet, lower_triangle
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,55 +143,69 @@ def support_matrix_naive(l: int, rset: RankingSet, q: int,
     return SupportMatrix(owner=l, items=items, entries=entries, supported=mask)
 
 
+def _weights(base: float, value: np.ndarray, total: np.ndarray,
+             count: np.ndarray) -> np.ndarray:
+    """``_weight`` of every entry's deviation, evaluated once per distinct one."""
+    deviation = np.abs(value * count - total) / count  # exact integer numerator
+    unique, inverse = np.unique(deviation, return_inverse=True)
+    return np.array([_weight(base, d) for d in unique.tolist()])[inverse]
+
+
 def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
                           lam: float = 1.0) -> list[SupportMatrix]:
     """All per-ranking support matrices, read off the set's pattern table.
 
     Entrywise identical to running :func:`support_matrix_naive` for every
-    ranking.
+    ranking. Duplicate rankings share one read-only ``entries`` and
+    ``supported`` array.
     """
     _check_params(rset, q, gamma, lam)
-    stats = rset.pattern_stats
-    matrices = []
-    for l, ranking in enumerate(rset):
-        items = ranking.items
-        m = len(items)
-        positions = [ranking.position(x) for x in items]
+    table = rset.pattern_stats
+    supported = table.count >= q
+    weights = supported.astype(float)
+    for base, kind in ((gamma, table.diag), (lam, ~table.diag)):
+        if base != 1.0:
+            sel = supported & kind
+            weights[sel] = _weights(base, table.value[sel], table.total[sel], table.count[sel])
+    shared = []
+    offsets = table.offsets.tolist()
+    for t, ranking in enumerate(table.types):
+        m = len(ranking)
+        cells = lower_triangle(m)
+        span = slice(offsets[t], offsets[t + 1])
         entries = np.zeros((m, m))
+        entries[cells] = weights[span]
         mask = np.zeros((m, m), dtype=bool)
-        for i in range(m):
-            x = items[i]
-            px = positions[i]
-            for j in range(i, m):
-                count, total = stats[x, items[j]]
-                if count < q:
-                    continue
-                mask[j, i] = True
-                if i == j:
-                    entries[j, i] = _weight(gamma, _deviation(px, total, count))
-                else:
-                    entries[j, i] = _weight(lam, _deviation(positions[j] - px, total, count))
-        matrices.append(SupportMatrix(owner=l, items=items, entries=entries, supported=mask))
-    return matrices
+        mask[cells] = supported[span]
+        entries.flags.writeable = mask.flags.writeable = False
+        shared.append((ranking.items, entries, mask))
+    return [SupportMatrix(l, *shared[t]) for l, t in enumerate(table.type_of)]
 
 
 def support_sets(matrices: list[SupportMatrix], rset: RankingSet) -> SupportSets:
-    """Read the supported-pattern sets off matrices built for ``rset``."""
+    """Read the supported-pattern sets off matrices built for ``rset``.
+
+    Matrices that share one ``supported`` array (duplicate rankings) share
+    one :class:`RankingSupport`.
+    """
     if len(matrices) != len(rset):
         raise ParameterError(
             f"expected {len(rset)} matrices for this ranking set, got {len(matrices)}"
         )
+    # keyed by array identity: every matrix, so every key, outlives the loop
+    distinct: dict[int, RankingSupport] = {}
     per = []
     for mat in matrices:
-        items = mat.items
-        singles = frozenset(items[i] for i in range(mat.m) if mat.supported[i, i])
-        pairs = frozenset(
-            (items[i], items[j])
-            for i in range(mat.m)
-            for j in range(i + 1, mat.m)
-            if mat.supported[j, i]
-        )
-        per.append(RankingSupport(singles=singles, pairs=pairs))
-    singles = frozenset().union(*(p.singles for p in per))
-    pairs = frozenset().union(*(p.pairs for p in per))
+        support = distinct.get(id(mat.supported))
+        if support is None:
+            items = mat.items
+            rows, cols = np.nonzero(mat.supported)
+            cells = list(zip(cols.tolist(), rows.tolist()))
+            support = distinct[id(mat.supported)] = RankingSupport(
+                singles=frozenset(items[i] for i, j in cells if i == j),
+                pairs=frozenset((items[i], items[j]) for i, j in cells if i < j),
+            )
+        per.append(support)
+    singles = frozenset().union(*(p.singles for p in distinct.values()))
+    pairs = frozenset().union(*(p.pairs for p in distinct.values()))
     return SupportSets(singles=singles, pairs=pairs, per_ranking=tuple(per))

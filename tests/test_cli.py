@@ -189,6 +189,46 @@ def test_non_utf8_file_exits_one(tmp_path, capsys):
     assert "byte offset 6" in err
 
 
+def test_huge_vote_count_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.soc"
+    path.write_text("100000000000000000: a,b\n")
+    code, out, err = run(capsys, "score", str(path), "--input-format", "preflib")
+    assert code == 1
+    assert out == ""
+    assert f"{path}:1:" in err
+
+
+def test_all_singleton_outliers_exit_one_naming_the_cause(tmp_path, capsys):
+    path = tmp_path / "single.soc"
+    path.write_text("1: a\n1: b\n")
+    code, out, err = run(capsys, "outliers", str(path), "--input-format", "preflib")
+    assert code == 1
+    assert out == ""
+    assert "every ranking has a single item" in err
+
+
+COUNTED = "3: a,b,{c,d}\n2: b,a,c\n1: d\n4: c,{a,b}\n"
+EXPANDED = "a,b,{c,d}\n" * 3 + "b,a,c\n" * 2 + "d\n" + "c,{a,b}\n" * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--gamma", "0.5", "--lambda", "0.7"],
+    ["outliers", "--remove"],
+    ["sweep", "--q-fracs", "1/2,0.7,1", "--lambdas", "1,0.5"],
+])
+def test_counted_and_expanded_votes_print_the_same_bytes(tmp_path, capsys, argv):
+    counted = tmp_path / "votes.soc"
+    counted.write_text(COUNTED)
+    expanded = tmp_path / "votes.txt"
+    expanded.write_text(EXPANDED)
+    outs = []
+    for path, fmt in [(counted, "preflib"), (expanded, "lines"), (counted, "preflib")]:
+        code, out, err = run(capsys, argv[0], str(path), "--input-format", fmt, *argv[1:])
+        assert (code, err) == (0, "")
+        outs.append(out.encode("utf-8"))
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_unexpected_failure_exits_two(example_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("surprise")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from rank_consensus import (
     render_rankings,
     score,
 )
+from rank_consensus import io as rc_io
 
 EXAMPLE_LINES = """\
 # worked example
@@ -132,6 +134,20 @@ def test_parse_preflib_without_names_keeps_tokens():
 def test_parse_preflib_errors(bad, message):
     with pytest.raises(ParseError, match=message):
         parse_rankings_text(bad, fmt="preflib")
+
+
+def test_parse_preflib_caps_the_vote_total(tmp_path):
+    path = tmp_path / "huge.soc"
+    path.write_text("3: 1,2\n100000000000000000: 2,1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: vote count 100000000000000000")):
+        parse_rankings(path, fmt="preflib")
+
+
+def test_vote_cap_counts_the_whole_file(monkeypatch):
+    monkeypatch.setattr(rc_io, "MAX_VOTES", 5)
+    assert len(parse_rankings_text("4: 1,2\n1: 2\n", fmt="preflib")) == 5
+    with pytest.raises(ParseError, match=r"<string>:2: .* total to 6, above the limit of 5"):
+        parse_rankings_text("4: 1,2\n2: 2\n", fmt="preflib")
 
 
 def test_parse_preflib_name_collision():

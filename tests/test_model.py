@@ -118,11 +118,20 @@ def test_pattern_stats_counts_ties_both_ways_and_repeats():
     tied = Ranking([["a", "b"], ["c"]])
     rs = RankingSet([tied, tied, Ranking.strict("ca")])
     stats = rs.pattern_stats
-    assert stats["a", "b"] == stats["b", "a"] == (2, 0)
-    assert stats["a", "a"] == (3, 1 + 1 + 2)
-    assert stats["a", "c"] == (2, 2)
-    assert stats["c", "a"] == (1, 1)
-    assert ("c", "b") not in stats
+    assert stats.lookup("a", "b") == stats.lookup("b", "a") == (2, 0)
+    assert stats.lookup("a", "a") == (3, 1 + 1 + 2)
+    assert stats.lookup("a", "c") == (2, 2)
+    assert stats.lookup("c", "a") == (1, 1)
+    assert stats.lookup("c", "b") == (0, 0)
+    # per distinct ranking, cell by cell: a a, a b, b b, a c, b c, c c for
+    # the tied one (counted twice), then c c, c a, a a
+    assert stats.types == (tied, Ranking.strict("ca"))
+    assert stats.type_of == (0, 0, 1)
+    assert stats.offsets.tolist() == [0, 6, 9]
+    assert stats.count.tolist() == [3, 2, 2, 2, 2, 3, 3, 1, 3]
+    assert stats.total.tolist() == [4, 0, 2, 2, 2, 5, 5, 1, 4]
+    assert stats.value.tolist() == [1, 0, 1, 1, 1, 2, 1, 1, 2]
+    assert stats.diag.tolist() == [True, False, True, False, False, True, True, False, True]
     assert rs.pattern_stats is stats
 
 

@@ -83,6 +83,20 @@ def test_zero_mean_scores_are_degenerate():
         detect_outliers(rep)
 
 
+def test_all_singleton_sets_name_the_real_cause():
+    rs = RankingSet([Ranking.strict("a"), Ranking.strict("b"), Ranking.strict("a")])
+    rep = score(rs, ScoreParams(q=1))
+    assert rep.overall_kappa1 == 1.0 and rep.overall_kappa2 == 0.0
+    with pytest.raises(DegenerateConsensusError,
+                       match="every ranking has a single item, so there are no pairs "
+                             "and kappa2 is 0 by convention"):
+        detect_outliers(rep)
+    # one ranking with a pair: the advice about q stands
+    rs = RankingSet([Ranking.strict("a"), Ranking.strict("bc")])
+    with pytest.raises(DegenerateConsensusError, match="lower q"):
+        detect_outliers(score(rs, ScoreParams(q=2)))
+
+
 def test_reversal_is_flagged_and_removal_restores_full_consensus():
     rs = _nine_plus_one()
     params = ScoreParams(q=5)

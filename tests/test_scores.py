@@ -17,7 +17,7 @@ from rank_consensus import (
     q_from_fraction,
     score,
 )
-from rank_consensus import model
+from rank_consensus import model, scores
 
 
 def test_plain_scores_on_example(example_set):
@@ -92,6 +92,27 @@ def test_scoring_many_points_counts_patterns_once(example_set, monkeypatch):
     for q, gamma, lam in [(1, 1.0, 1.0), (2, 0.5, 1.0), (3, 1.0, 0.2), (4, 0.9, 0.8)]:
         score(example_set, ScoreParams(q=q, gamma=gamma, lam=lam))
     assert len(calls) == 1
+
+
+def test_support_sets_are_built_only_when_read(monkeypatch):
+    rset = RankingSet([Ranking([["a", "b"], ["c"]]), Ranking.strict("bca"), Ranking.strict("ab")] * 3
+                      + [Ranking.strict("d")])
+    calls = []
+    real = scores.support_sets
+
+    def counting(matrices, rs):
+        calls.append(1)
+        return real(matrices, rs)
+
+    monkeypatch.setattr(scores, "support_sets", counting)
+    grid = [(q, base, base) for q in (1, 3, 5, 10) for base in (1.0, 0.7, 0.2)]
+    reports = [score(rset, ScoreParams(q=q, gamma=g, lam=lam)) for q, g, lam in grid]
+    assert len(reports) == 12
+    assert calls == []
+    for rep in reports:
+        assert rep.sets == real(list(rep.matrices), rset)
+        assert rep.sets is rep.sets
+    assert len(calls) == 12
 
 
 def test_invalid_params_rejected(example_set):

@@ -1,13 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ranking_sets_st
+from conftest import random_ranking, ranking_sets_st
 from rank_consensus import (
     ParameterError,
+    Ranking,
+    RankingSet,
     support_count,
     support_matrices_fast,
     support_matrix_naive,
@@ -205,3 +208,41 @@ def test_weighted_entries_never_exceed_plain(rset):
         assert (w.entries >= 0).all()
         # weighting never changes which patterns are certified
         assert np.array_equal(p.supported, w.supported)
+
+
+def _duplicated_set(seed: int, with_singletons: bool) -> RankingSet:
+    """A few distinct rankings (ties, truncation) repeated many times, shuffled."""
+    rng = random.Random(seed)
+    distinct = [random_ranking(rng) for _ in range(3)]
+    if with_singletons:
+        distinct += [Ranking.strict("a"), Ranking.strict(rng.choice("bcdefgh"))]
+    votes = [r for r in distinct for _ in range(rng.randint(2, 6))]
+    rng.shuffle(votes)
+    return RankingSet(votes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_duplicates_share_read_only_matrices_and_stay_exact(seed):
+    rset = _duplicated_set(seed, with_singletons=seed % 2 == 1)
+    first: dict[Ranking, int] = {}
+    for q in range(1, len(rset) + 1):
+        plain = support_matrices_fast(rset, q)
+        weighted = support_matrices_fast(rset, q, gamma=0.5, lam=0.3)
+        for l in range(len(rset)):
+            naive = support_matrix_naive(l, rset, q)
+            assert np.array_equal(plain[l].entries, naive.entries)
+            assert np.array_equal(plain[l].supported, naive.supported)
+            naive = support_matrix_naive(l, rset, q, gamma=0.5, lam=0.3)
+            assert np.array_equal(weighted[l].supported, naive.supported)
+            np.testing.assert_allclose(weighted[l].entries, naive.entries, rtol=0, atol=1e-12)
+            k = first.setdefault(rset[l], l)
+            for mats in (plain, weighted):
+                assert mats[l].owner == l
+                assert mats[l].entries is mats[k].entries
+                assert mats[l].supported is mats[k].supported
+                with pytest.raises(ValueError):
+                    mats[l].entries[0, 0] = 0.25
+                with pytest.raises(ValueError):
+                    mats[l].supported[0, 0] = False
+        distinct = {id(mat.entries) for mat in plain}
+        assert len(distinct) == len(first) < len(rset)
