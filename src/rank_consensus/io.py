@@ -11,28 +11,39 @@ Two input formats:
 
 Reports serialise to JSON (full-precision floats plus 2-decimal display
 strings) or CSV. Both are deterministic: equal inputs give byte-equal
-output.
+output. Votes that repeat a ranking repeat its per-vote rows, so each
+distinct row is rendered once, by ``json.dumps`` or ``csv`` itself, and
+every vote that shares it reuses that text with only its index changed; a
+JSON document is joined from its pieces once, at the end.
 """
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
+from collections.abc import Callable, Hashable, Iterable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TypeVar
 
 from .baselines import PairwiseAverages
 from .errors import ParameterError, ParseError
 from .model import Ranking, RankingSet
 from .outliers import OutlierReport
 from .scores import ConsensusReport
+from .support import RankingSupport
+
+T = TypeVar("T")
 
 # ---------------------------------------------------------------------------
 # parsing
 
 _SPECIALS = ",{}"
-# most votes one preflib file may expand to; every vote is scored and emitted
-# on its own (about 1 KB to score, several more as JSON), so this bounds the
-# memory of a run
+# most votes one preflib file may expand to. Every vote is still scored on
+# its own, and its report text is held twice while it is written: at 200 000
+# votes over 4 rankings, `score` peaks at 145 MB as CSV and 309 MB as JSON
+# (0.54 KB of text per vote), `outliers --remove` at 255 and 450 MB, so this
+# bounds the memory of a run
 MAX_VOTES = 10**6
 
 
@@ -165,7 +176,9 @@ def parse_rankings(path: str | Path, fmt: str = "lines") -> RankingSet:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
-    return parse_rankings_text(text, fmt, source=str(path))
+    # a leading byte-order mark marks the encoding and is not part of the
+    # first line, as "utf-8-sig" reads it; offsets above still count it
+    return parse_rankings_text(text.removeprefix("\ufeff"), fmt, source=str(path))
 
 
 def render_rankings(rset: RankingSet) -> str:
@@ -195,8 +208,91 @@ def _check_fmt(fmt: str) -> None:
         raise ParameterError(f"unknown output format {fmt!r}; expected one of {list(_FORMATS)}")
 
 
+def _shared(votes: Iterable[tuple[int, Hashable]],
+            render: Callable[[Hashable], T]) -> Iterator[tuple[int, T]]:
+    """``(index, render(key))`` for each vote's ``(index, key)``, rendering
+    each distinct key once.
+
+    Keys compare by value. Equal floats print alike except 0.0 and -0.0,
+    which no score or deviation takes: they are built from sums of
+    non-negative weights and from differences, and a difference of equal
+    values is +0.0.
+    """
+    texts: dict[Hashable, T] = {}
+    for index, key in votes:
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = render(key)
+        yield index, text
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A JSON list of one row per vote: ``{"index": i, **fields(key)}`` for
+    each ``(i, key)`` in ``votes``."""
+
+    votes: list[tuple[int, Hashable]]
+    fields: Callable[[Hashable], dict]
+
+
+def _render(value, out: list[str], depth: int = 0) -> None:
+    """Append the text of ``json.dumps(value, indent=2)``, as it reads nested
+    ``depth`` levels deep, to ``out`` in pieces.
+
+    Dicts are laid out here, so a :class:`_Rows` value in one can encode each
+    distinct row once and add four pieces per vote; a list of ints is joined
+    directly; anything else is encoded whole by ``json.dumps``. The document
+    is copied only when ``out`` is joined.
+    """
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    sep = inner  # before the first item; "," + inner before the others
+    if isinstance(value, _Rows):
+        if not value.votes:
+            out.append("[]")
+            return
+        row = "{" + inner + '  "index": '
+
+        def tail(key) -> str:
+            # the row after its index, one level deeper than this list
+            return "," + json.dumps(value.fields(key), indent=2)[1:].replace("\n", inner)
+
+        out.append("[")
+        for index, text in _shared(value.votes, tail):
+            out += (sep, row, repr(index), text)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, dict) and value:
+        out.append("{")
+        for key, item in value.items():
+            out += (sep, json.dumps(key), ": ")
+            _render(item, out, depth + 1)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, list) and value and all(type(item) is int for item in value):
+        # an int prints as json.dumps prints it, without its per-item cost
+        out += ("[", inner, ("," + inner).join(map(repr, value)), pad, "]")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", pad))
+
+
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    out: list[str] = []
+    _render(payload, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _csv_lines(rows: Iterable[list]) -> list[str]:
+    """Each row as ``csv`` writes it, newline included (the writer makes
+    one ``write`` call per row)."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(rows)
+    return lines
+
+
+def _csv(rows: Iterable[list]) -> str:
+    return "".join(_csv_lines(rows))
 
 
 def _sets_payload(report: ConsensusReport) -> dict:
@@ -204,14 +300,38 @@ def _sets_payload(report: ConsensusReport) -> dict:
     return {
         "singles": sorted(sets.singles),
         "pairs": [list(p) for p in sorted(sets.pairs)],
-        "per_ranking": [
-            {
-                "index": i,
-                "singles": sorted(ps.singles),
-                "pairs": [list(p) for p in sorted(ps.pairs)],
-            }
-            for i, ps in enumerate(sets.per_ranking)
-        ],
+        "per_ranking": _Rows(list(enumerate(sets.per_ranking)), _support_fields),
+    }
+
+
+def _support_fields(support: RankingSupport) -> dict:
+    return {
+        "singles": sorted(support.singles),
+        "pairs": [list(p) for p in sorted(support.pairs)],
+    }
+
+
+def _score_fields(key: tuple) -> dict:
+    m, n_pairs, kappa1, kappa2, singleton = key
+    return {
+        "m": m,
+        "n_pairs": n_pairs,
+        "kappa1": kappa1,
+        "kappa2": kappa2,
+        "kappa1_display": _disp(kappa1),
+        "kappa2_display": _disp(kappa2),
+        "singleton": singleton,
+    }
+
+
+def _deviation_fields(key: tuple) -> dict:
+    v1, v2, flagged = key
+    return {
+        "v1": v1,
+        "v2": v2,
+        "v1_display": _disp(v1),
+        "v2_display": _disp(v2),
+        "flagged": flagged,
     }
 
 
@@ -229,50 +349,32 @@ def _consensus_payload(report: ConsensusReport) -> dict:
             "kappa1_display": _disp(report.overall_kappa1),
             "kappa2_display": _disp(report.overall_kappa2),
         },
-        "per_ranking": [
-            {
-                "index": rs.index,
-                "m": rs.m,
-                "n_pairs": rs.n_pairs,
-                "kappa1": rs.kappa1,
-                "kappa2": rs.kappa2,
-                "kappa1_display": _disp(rs.kappa1),
-                "kappa2_display": _disp(rs.kappa2),
-                "singleton": rs.singleton,
-            }
-            for rs in report.per_ranking
-        ],
+        "per_ranking": _Rows(
+            [(rs.index, (rs.m, rs.n_pairs, rs.kappa1, rs.kappa2, rs.singleton))
+             for rs in report.per_ranking],
+            _score_fields,
+        ),
     }
 
 
-def _score_rows(report: ConsensusReport, outliers: OutlierReport | None):
-    rows = []
+_SCORE_COLUMNS = ["index", "m", "kappa1", "kappa2", "v1", "v2", "flagged"]
+
+
+def _score_table(report: ConsensusReport, outliers: OutlierReport | None) -> str:
     deviations = {d.index: d for d in outliers.per_ranking} if outliers else {}
+    votes = []
     for rs in report.per_ranking:
         d = deviations.get(rs.index)
-        rows.append(
-            {
-                "index": rs.index,
-                "m": rs.m,
-                "kappa1": repr(rs.kappa1),
-                "kappa2": repr(rs.kappa2),
-                "v1": repr(d.v1) if d else "",
-                "v2": repr(d.v2) if d else "",
-                "flagged": "true" if d and d.flagged else "false",
-            }
-        )
-    return rows
+        dev = None if d is None else (d.v1, d.v2, d.flagged)
+        votes.append((rs.index, (rs.m, rs.kappa1, rs.kappa2, dev)))
 
+    def tail(key) -> str:
+        m, kappa1, kappa2, dev = key
+        v1, v2, flagged = ("", "", False) if dev is None else (repr(dev[0]), repr(dev[1]), dev[2])
+        return _csv_lines([[m, repr(kappa1), repr(kappa2), v1, v2,
+                            "true" if flagged else "false"]])[0]
 
-def _csv_table(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = _io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-_SCORE_COLUMNS = ["index", "m", "kappa1", "kappa2", "v1", "v2", "flagged"]
+    return _csv([_SCORE_COLUMNS]) + "".join(f"{i},{text}" for i, text in _shared(votes, tail))
 
 
 def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
@@ -282,27 +384,20 @@ def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
     _check_fmt(fmt)
     if isinstance(report, ConsensusReport):
         if fmt == "csv":
-            return _csv_table(_SCORE_COLUMNS, _score_rows(report, None))
+            return _score_table(report, None)
         payload = _consensus_payload(report)
         payload["support"] = _sets_payload(report)
         return _json(payload)
     if isinstance(report, OutlierReport):
         if fmt == "csv":
-            return _csv_table(_SCORE_COLUMNS, _score_rows(report.consensus, report))
+            return _score_table(report.consensus, report)
         payload = {
             "thresholds": {"eps1": report.eps1, "eps2": report.eps2},
             "consensus": _consensus_payload(report.consensus),
-            "per_ranking": [
-                {
-                    "index": d.index,
-                    "v1": d.v1,
-                    "v2": d.v2,
-                    "v1_display": _disp(d.v1),
-                    "v2_display": _disp(d.v2),
-                    "flagged": d.flagged,
-                }
-                for d in report.per_ranking
-            ],
+            "per_ranking": _Rows(
+                [(d.index, (d.v1, d.v2, d.flagged)) for d in report.per_ranking],
+                _deviation_fields,
+            ),
             "flagged_indices": report.flagged_indices,
         }
         if rescored is not None:
@@ -313,12 +408,8 @@ def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
         return _json(payload)
     if isinstance(report, PairwiseAverages):
         if fmt == "csv":
-            rows = [
-                {"index": str(i), "value": repr(v)}
-                for i, v in enumerate(report.per_ranking)
-            ]
-            rows.append({"index": "overall", "value": repr(report.overall)})
-            return _csv_table(["index", "value"], rows)
+            rows = [[i, repr(v)] for i, v in enumerate(report.per_ranking)]
+            return _csv([["index", "value"], *rows, ["overall", repr(report.overall)]])
         return _json(
             {
                 "measure": report.measure,
@@ -334,19 +425,21 @@ def emit_patterns(report: ConsensusReport, fmt: str = "json") -> str:
     """The supported-pattern sets of a scoring run."""
     _check_fmt(fmt)
     if fmt == "csv":
-        rows = []
-        payload = _sets_payload(report)
-        for x in payload["singles"]:
-            rows.append({"scope": "set", "kind": "single", "first": x, "second": ""})
-        for x, y in payload["pairs"]:
-            rows.append({"scope": "set", "kind": "pair", "first": x, "second": y})
-        for entry in payload["per_ranking"]:
-            scope = str(entry["index"])
-            for x in entry["singles"]:
-                rows.append({"scope": scope, "kind": "single", "first": x, "second": ""})
-            for x, y in entry["pairs"]:
-                rows.append({"scope": scope, "kind": "pair", "first": x, "second": y})
-        return _csv_table(["scope", "kind", "first", "second"], rows)
+        sets = report.sets
+        head = _csv([
+            ["scope", "kind", "first", "second"],
+            *(["set", "single", x, ""] for x in sorted(sets.singles)),
+            *(["set", "pair", x, y] for x, y in sorted(sets.pairs)),
+        ])
+
+        def tails(support: RankingSupport) -> list[str]:
+            return _csv_lines([
+                *(["single", x, ""] for x in sorted(support.singles)),
+                *(["pair", x, y] for x, y in sorted(support.pairs)),
+            ])
+
+        per_vote = _shared(enumerate(sets.per_ranking), tails)
+        return head + "".join(f"{i},{line}" for i, lines in per_vote for line in lines)
     payload = {"q": report.params.q, "n_rankings": report.n_rankings}
     payload.update(_sets_payload(report))
     return _json(payload)
@@ -360,15 +453,8 @@ def emit_sweep(rows: list[dict], fmt: str = "csv") -> str:
     _check_fmt(fmt)
     if fmt == "json":
         return _json(rows)
-    flat = [
-        {
-            "q": row["q"],
-            "qOverN": row["qOverN"],
-            "gamma": repr(float(row["gamma"])),
-            "lambda": repr(float(row["lambda"])),
-            "kappa1": repr(row["kappa1"]),
-            "kappa2": repr(row["kappa2"]),
-        }
+    return _csv([_SWEEP_COLUMNS, *(
+        [row["q"], row["qOverN"], repr(float(row["gamma"])), repr(float(row["lambda"])),
+         repr(row["kappa1"]), repr(row["kappa2"])]
         for row in rows
-    ]
-    return _csv_table(_SWEEP_COLUMNS, flat)
+    )])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
@@ -48,17 +49,26 @@ def q_from_fraction(frac: Fraction | str | float, n_rankings: int) -> int:
 
     Accepts a string or Fraction; floats are routed through ``str`` first so
     e.g. ``0.67`` means the decimal 67/100, not its binary neighbour (whose
-    ceil can come out one too high).
+    ceil can come out one too high). A string without ``/`` is read as a
+    ``Decimal``, which keeps ``1e-99999999`` as digits and an exponent where
+    ``Fraction`` would build ``10**99999999``.
     """
+    text = str(frac) if isinstance(frac, float) else frac
     try:
-        frac = Fraction(str(frac) if isinstance(frac, float) else frac)
-    except (ValueError, ZeroDivisionError):
+        value = Decimal(text) if isinstance(text, str) and "/" not in text else Fraction(text)
+        in_range = 0 < value <= 1  # a Decimal NaN raises here
+    except (ValueError, ArithmeticError):
         raise ParameterError(
             f"threshold fraction must be a number in (0, 1], got {frac!r}"
         ) from None
-    if not 0 < frac <= 1:
-        raise ParameterError(f"threshold fraction must be in (0, 1], got {frac}")
-    scaled = frac * n_rankings
+    if not in_range:
+        # quoted as given: the value of e.g. "1e400" prints 401 digits
+        raise ParameterError(f"threshold fraction must be in (0, 1], got {frac!r}")
+    if isinstance(value, Decimal):
+        if value.adjusted() < -len(str(n_rankings)):
+            return 1  # value < 10**-len(str(n)) < 1/n
+        value = Fraction(value)
+    scaled = value * n_rankings
     return int(math.ceil(scaled)) if scaled.denominator > 1 else int(scaled)
 
 

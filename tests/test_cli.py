@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank_consensus import cli
 
@@ -171,12 +175,15 @@ def test_help_exits_zero(capsys):
     ["score", "--q-frac", "abc"],
     ["score", "--q-frac", "nan"],
     ["sweep", "--q-fracs", "1/0"],
+    ["score", "--q-frac", "1e400"],
+    ["sweep", "--q-fracs", "1e5000"],
 ])
 def test_bad_threshold_text_exits_one(example_file, capsys, argv):
     code, out, err = run(capsys, argv[0], example_file, *argv[1:])
     assert code == 1
     assert out == ""
     assert repr(argv[-1]) in err
+    assert len(err) < 200
 
 
 def test_non_utf8_file_exits_one(tmp_path, capsys):
@@ -187,6 +194,24 @@ def test_non_utf8_file_exits_one(tmp_path, capsys):
     assert out == ""
     assert str(path) in err
     assert "byte offset 6" in err
+
+
+@pytest.mark.parametrize("fmt, text, argv", [
+    ("lines", "a,b\nb,a\n", ["patterns", "--q", "2"]),
+    ("preflib", "# ALTERNATIVE NAME 1: a\n# ALTERNATIVE NAME 2: b\n2: 1,2\n1: 2,1\n", ["score"]),
+])
+def test_byte_order_mark_prints_the_same_bytes(tmp_path, capsys, fmt, text, argv):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    outs = []
+    for path in (plain, marked):
+        code, out, err = run(capsys, argv[0], str(path), "--input-format", fmt, *argv[1:])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert '"a"' in outs[1] and "\\ufeff" not in outs[1]
 
 
 def test_huge_vote_count_exits_one(tmp_path, capsys):
@@ -227,6 +252,68 @@ def test_counted_and_expanded_votes_print_the_same_bytes(tmp_path, capsys, argv)
         assert (code, err) == (0, "")
         outs.append(out.encode("utf-8"))
     assert outs[0] == outs[1] == outs[2]
+
+
+# --- any input ends in exit 0 or 1 ---------------------------------------------
+
+def run_captured(argv):
+    """``cli.main`` with its stdout and stderr captured; hypothesis runs many
+    examples per test, which capsys does not reset between."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+# bytes near both grammars, and arbitrary ones
+file_bytes = st.one_of(
+    st.binary(max_size=80),
+    st.text(st.sampled_from("ab1 2,{}#:\n\r\ufeff\u00e9-0"), max_size=60).map(str.encode),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=file_bytes, fmt=st.sampled_from(["lines", "preflib"]),
+       command=st.sampled_from(["score", "patterns"]))
+def test_any_file_exits_zero_or_one_naming_it(workdir, data, fmt, command):
+    path = workdir / "input.txt"
+    path.write_bytes(data)
+    code, out, err = run_captured([command, str(path), "--input-format", fmt])
+    assert code in (0, 1)
+    if code:
+        assert out == ""
+        assert str(path) in err
+    else:
+        assert out and err == ""
+
+
+threshold_text = st.one_of(
+    st.text(max_size=12),
+    st.text(st.sampled_from("0123456789./-+e_ nainf,"), max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=threshold_text, flag=st.sampled_from([
+    ("score", "--q-frac"), ("score", "--gamma"), ("outliers", "--lambda"),
+    ("sweep", "--q-fracs"), ("sweep", "--gammas"),
+]))
+def test_any_parameter_text_exits_zero_or_one(workdir, text, flag):
+    path = workdir / "rankings.txt"
+    path.write_text("a,b,c\nb,a,c\na,c\n")
+    command, option = flag
+    code, out, err = run_captured([command, str(path), f"{option}={text}"])
+    assert code in (0, 1)
+    if code:
+        assert out == ""
+        assert err
+    else:
+        assert out and err == ""
 
 
 def test_unexpected_failure_exits_two(example_file, capsys, monkeypatch):

@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import ranking_sets_st
+from conftest import ranking_sets_st, rankings_st
 from rank_consensus import (
+    DegenerateConsensusError,
     ParameterError,
     ParseError,
     Ranking,
@@ -274,3 +278,233 @@ def test_emit_rejects_unknown_format_and_type(example_set):
         emit_report(rep, "yaml")
     with pytest.raises(ParameterError, match="cannot emit"):
         emit_report({"not": "a report"})
+
+
+def test_correlation_and_sweep_json_match_json_dumps(example_set):
+    avg = pairwise_average(example_set, "kendall_topk", TopKParams(k=3, p=0.5))
+    assert emit_report(avg) == json.dumps({
+        "measure": avg.measure,
+        "per_ranking": list(avg.per_ranking),
+        "overall": avg.overall,
+        "overall_display": f"{avg.overall:.2f}",
+    }, indent=2) + "\n"
+    rows = [{"q": 2, "qOverN": "1/2", "gamma": 1.0, "lambda": 0.5, "kappa1": 0.75,
+             "kappa2": 0.5}, {"q": 3, "qOverN": "2/3", "gamma": 0.5, "lambda": 1.0,
+                              "kappa1": 1 / 3, "kappa2": 0.0}]
+    assert emit_sweep(rows, "json") == json.dumps(rows, indent=2) + "\n"
+
+
+# --- emission against per-vote reference payloads -----------------------------
+#
+# The emitter renders each distinct row once. These functions make one payload
+# row per vote, as plain dicts for ``json.dumps(indent=2)`` and ``csv``, and
+# are the reference its bytes must equal.
+
+def _disp(value):
+    return f"{value:.2f}"
+
+
+def reference_json(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_csv(fieldnames, rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def reference_sets(report):
+    sets = report.sets
+    return {
+        "singles": sorted(sets.singles),
+        "pairs": [list(p) for p in sorted(sets.pairs)],
+        "per_ranking": [
+            {
+                "index": i,
+                "singles": sorted(ps.singles),
+                "pairs": [list(p) for p in sorted(ps.pairs)],
+            }
+            for i, ps in enumerate(sets.per_ranking)
+        ],
+    }
+
+
+def reference_consensus(report):
+    return {
+        "params": {
+            "q": report.params.q,
+            "gamma": report.params.gamma,
+            "lambda": report.params.lam,
+        },
+        "n_rankings": report.n_rankings,
+        "overall": {
+            "kappa1": report.overall_kappa1,
+            "kappa2": report.overall_kappa2,
+            "kappa1_display": _disp(report.overall_kappa1),
+            "kappa2_display": _disp(report.overall_kappa2),
+        },
+        "per_ranking": [
+            {
+                "index": rs.index,
+                "m": rs.m,
+                "n_pairs": rs.n_pairs,
+                "kappa1": rs.kappa1,
+                "kappa2": rs.kappa2,
+                "kappa1_display": _disp(rs.kappa1),
+                "kappa2_display": _disp(rs.kappa2),
+                "singleton": rs.singleton,
+            }
+            for rs in report.per_ranking
+        ],
+    }
+
+
+def reference_outliers(report, rescored=None):
+    payload = {
+        "thresholds": {"eps1": report.eps1, "eps2": report.eps2},
+        "consensus": reference_consensus(report.consensus),
+        "per_ranking": [
+            {
+                "index": d.index,
+                "v1": d.v1,
+                "v2": d.v2,
+                "v1_display": _disp(d.v1),
+                "v2_display": _disp(d.v2),
+                "flagged": d.flagged,
+            }
+            for d in report.per_ranking
+        ],
+        "flagged_indices": report.flagged_indices,
+    }
+    if rescored is not None:
+        rescored_payload = reference_consensus(rescored)
+        rescored_payload["original_indices"] = [d.index for d in report.per_ranking
+                                                if not d.flagged]
+        payload["rescored"] = rescored_payload
+    return payload
+
+
+SCORE_COLUMNS = ["index", "m", "kappa1", "kappa2", "v1", "v2", "flagged"]
+
+
+def reference_score_rows(report, outliers):
+    rows = []
+    deviations = {d.index: d for d in outliers.per_ranking} if outliers else {}
+    for rs in report.per_ranking:
+        d = deviations.get(rs.index)
+        rows.append(
+            {
+                "index": rs.index,
+                "m": rs.m,
+                "kappa1": repr(rs.kappa1),
+                "kappa2": repr(rs.kappa2),
+                "v1": repr(d.v1) if d else "",
+                "v2": repr(d.v2) if d else "",
+                "flagged": "true" if d and d.flagged else "false",
+            }
+        )
+    return rows
+
+
+def reference_pattern_rows(report):
+    payload = reference_sets(report)
+    rows = []
+    for x in payload["singles"]:
+        rows.append({"scope": "set", "kind": "single", "first": x, "second": ""})
+    for x, y in payload["pairs"]:
+        rows.append({"scope": "set", "kind": "pair", "first": x, "second": y})
+    for entry in payload["per_ranking"]:
+        scope = str(entry["index"])
+        for x in entry["singles"]:
+            rows.append({"scope": scope, "kind": "single", "first": x, "second": ""})
+        for x, y in entry["pairs"]:
+            rows.append({"scope": scope, "kind": "pair", "first": x, "second": y})
+    return rows
+
+
+# names that JSON must escape or CSV must quote
+AWKWARD = ("a", 'say "hi"', "back\\slash", "caf\u00e9", "\u65e5\u672c", "x,y", "two\nlines", "{b}")
+
+
+@st.composite
+def voted_sets_st(draw):
+    """Votes drawn with repetition from a few distinct rankings, so most
+    votes repeat one; tie blocks and one-item rankings occur."""
+    pool = draw(st.lists(rankings_st(universe=AWKWARD), min_size=1, max_size=4))
+    votes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return RankingSet(votes)
+
+
+def assert_emits_reference(rset, params):
+    rep = score(rset, params)
+    consensus = reference_consensus(rep)
+    consensus["support"] = reference_sets(rep)
+    assert emit_report(rep) == reference_json(consensus)
+    assert emit_report(rep, "csv") == reference_csv(SCORE_COLUMNS, reference_score_rows(rep, None))
+    patterns = {"q": rep.params.q, "n_rankings": rep.n_rankings}
+    patterns.update(reference_sets(rep))
+    assert emit_patterns(rep) == reference_json(patterns)
+    assert emit_patterns(rep, "csv") == reference_csv(["scope", "kind", "first", "second"],
+                                                      reference_pattern_rows(rep))
+    try:
+        out = detect_outliers(rep)
+    except DegenerateConsensusError:
+        return
+    assert emit_report(out) == reference_json(reference_outliers(out))
+    assert emit_report(out, "csv") == reference_csv(SCORE_COLUMNS,
+                                                    reference_score_rows(rep, out))
+    try:
+        rescored = remove_and_rescore(rset, out, params)
+    except ParameterError:  # every vote flagged
+        return
+    assert emit_report(out, rescored=rescored) == reference_json(reference_outliers(out, rescored))
+
+
+@settings(max_examples=150, deadline=None)
+@given(voted_sets_st(), st.data())
+@example(RankingSet([Ranking.strict(["caf\u00e9"]), Ranking.strict(["x,y"])] * 3
+                    + [Ranking([['say "hi"', "back\\slash"], ["two\nlines"]])]), None)
+def test_emission_equals_the_per_vote_reference(rset, data):
+    if data is None:
+        params = ScoreParams(q=3, gamma=0.5, lam=0.5)
+    else:
+        params = ScoreParams(
+            q=data.draw(st.integers(1, len(rset))),
+            gamma=data.draw(st.sampled_from([1.0, 0.5, 0.3])),
+            lam=data.draw(st.sampled_from([1.0, 0.7, 0.2])),
+        )
+    assert_emits_reference(rset, params)
+
+
+def test_rows_are_rendered_once_per_distinct_ranking(monkeypatch):
+    # 200 votes over 3 rankings whose rows differ in every list, interleaved
+    kinds = [Ranking.strict("ba"), Ranking.strict("bca"), Ranking([["a", "b"], ["c"]])]
+    rset = RankingSet([kinds[i % 5 % 3] for i in range(200)])
+    rendered = []
+    real = rc_io._shared
+
+    def counting(votes, render):
+        rendered.append(0)
+
+        def counted(key):
+            rendered[-1] += 1
+            return render(key)
+
+        return real(votes, counted)
+
+    monkeypatch.setattr(rc_io, "_shared", counting)
+    params = ScoreParams(q=100)
+    rep = score(rset, params)
+    out = detect_outliers(rep, eps1=2, eps2=2)  # no vote flagged
+    rescored = remove_and_rescore(rset, out, params)
+    text = emit_report(rep)
+    for emitted in (emit_report(rep, "csv"), emit_patterns(rep), emit_patterns(rep, "csv"),
+                    emit_report(out, rescored=rescored), emit_report(out, "csv")):
+        assert emitted
+    # score JSON: per-ranking scores and sets; outliers: scores, deviations, rescored
+    assert rendered == [3, 3, 3, 3, 3, 3, 3, 3, 3]
+    assert len(rescored.per_ranking) == 200
+    assert text.count('"index": ') == 400

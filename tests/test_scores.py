@@ -143,6 +143,17 @@ def test_q_from_fraction_decimal_strings_are_exact():
     assert q_from_fraction(0.5, 10) == 5
 
 
+def test_q_from_fraction_reads_long_exponents_without_expanding_them():
+    # each would build a 10**99999999 Fraction, minutes of work
+    assert q_from_fraction("1e-99999999", 10) == 1
+    with pytest.raises(ParameterError, match="got '1e99999999'"):
+        q_from_fraction("1e99999999", 10)
+    # at and just past 1/n
+    assert q_from_fraction("1e-4", 10_000) == 1
+    assert q_from_fraction("1.00001e-4", 10_000) == 2
+    assert q_from_fraction("9.99e-5", 10_000) == 1
+
+
 def test_q_from_fraction_rejects_out_of_range():
     for bad in ("0", "-1/2", "3/2", "1.01", "abc", "nan", "inf", "1/0"):
         with pytest.raises(ParameterError):
