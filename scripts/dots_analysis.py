@@ -21,9 +21,7 @@ from pathlib import Path
 
 from rank_consensus import (
     Ranking,
-    RankingDeviation,
     ScoreParams,
-    detect_outliers,
     parse_rankings,
     q_from_fraction,
     remove_and_rescore,
@@ -38,16 +36,6 @@ def type_deviations(report, rset):
     for per, ranking in zip(report.per_ranking, rset):
         dev.setdefault(ranking, (per.kappa2 - mean2) / mean2)
     return dev
-
-
-def force_flags(report, rset, flagged_types):
-    base = detect_outliers(report, eps1=100.0, eps2=100.0)
-    per = tuple(
-        RankingDeviation(d.index, d.v1, d.v2, rset[d.index] in flagged_types)
-        for d in base.per_ranking
-    )
-    return type(base)(consensus=base.consensus, eps1=base.eps1,
-                      eps2=base.eps2, per_ranking=per)
 
 
 def recovered_order(pairs, tokens):
@@ -84,10 +72,8 @@ def analyse(path: Path) -> None:
         count = sum(1 for v in rset if v == r)
         print(f"  {describe(r, tokens)}  v2={deviations[r]:+.2f}  votes={count}")
 
-    rescored = remove_and_rescore(
-        rset, force_flags(weighted, rset, set(worst)),
-        ScoreParams(q=q_half, gamma=0.5, lam=0.5),
-    )
+    drop = [l for l, r in enumerate(rset) if r in worst]
+    rescored = remove_and_rescore(rset, drop, weighted.params)
     print(f"after removal: N'={rescored.n_rankings}, q'={rescored.params.q}, "
           f"kappa1={rescored.overall_kappa1:.2f}, kappa2={rescored.overall_kappa2:.2f}")
 

@@ -24,7 +24,7 @@ from .io import (
     parse_rankings_text,
     render_rankings,
 )
-from .model import Ranking, RankingSet, contains_pattern, position
+from .model import Ranking, RankingSet
 from .outliers import OutlierReport, RankingDeviation, detect_outliers, remove_and_rescore
 from .scores import (
     ConsensusReport,
@@ -66,7 +66,6 @@ __all__ = [
     "SupportMatrix",
     "SupportSets",
     "TopKParams",
-    "contains_pattern",
     "detect_outliers",
     "emit_patterns",
     "emit_report",
@@ -79,7 +78,6 @@ __all__ = [
     "pairwise_average",
     "parse_rankings",
     "parse_rankings_text",
-    "position",
     "position_deviation",
     "q_from_fraction",
     "remove_and_rescore",

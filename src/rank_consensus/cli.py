@@ -14,72 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .baselines import TopKParams, pairwise_average
 from .errors import ConsensusError, ParameterError
 from .io import emit_patterns, emit_report, emit_sweep, parse_rankings
 from .outliers import detect_outliers, remove_and_rescore
 from .scores import ScoreParams, q_from_fraction, score
-
-_DEFAULT_Q_FRAC = "1/2"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation, fully resolved from flags."""
-
-    command: str
-    input: str
-    input_format: str = "lines"
-    out_format: str = "json"
-    q: int | None = None
-    q_frac: str | None = None
-    gamma: float = 1.0
-    lam: float = 1.0
-    eps1: float = 0.4
-    eps2: float = 0.4
-    remove: bool = False
-    absolute_q: bool = False
-    q_fracs: tuple[str, ...] = ()
-    gammas: tuple[float, ...] = (1.0,)
-    lams: tuple[float, ...] = (1.0,)
-    measure: str = "kendall"
-    topk: int | None = None
-    penalty: float = 0.0
-    ell: int | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        def get(name, default=None):
-            return getattr(args, name, default)
-
-        return cls(
-            command=args.command,
-            input=args.input,
-            input_format=get("input_format", "lines"),
-            out_format=get("out_format", "json"),
-            q=get("q"),
-            q_frac=get("q_frac"),
-            gamma=get("gamma", 1.0),
-            lam=get("lam", 1.0),
-            eps1=get("eps1", 0.4),
-            eps2=get("eps2", 0.4),
-            remove=get("remove", False),
-            absolute_q=get("absolute_q", False),
-            q_fracs=tuple(get("q_fracs") or ()),
-            gammas=tuple(get("gammas") or (1.0,)),
-            lams=tuple(get("lams") or (1.0,)),
-            measure=get("measure", "kendall"),
-            topk=get("topk"),
-            penalty=get("penalty", 0.0),
-            ell=get("ell"),
-        )
-
-    def resolve_q(self, n_rankings: int) -> int:
-        if self.q is not None:
-            return self.q
-        return q_from_fraction(self.q_frac or _DEFAULT_Q_FRAC, n_rankings)
 
 
 def _str_list(text: str) -> list[str]:
@@ -102,9 +42,9 @@ def _add_score_args(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--q", type=int, default=None,
                        help="absolute support threshold (1..N)")
-    group.add_argument("--q-frac", default=None,
+    group.add_argument("--q-frac", default="1/2",
                        help="threshold as a fraction of N, e.g. 0.5 or 2/3 "
-                            f"(default: {_DEFAULT_Q_FRAC}); q = ceil(frac * N)")
+                            "(default: %(default)s); q = ceil(frac * N)")
     sub.add_argument("--gamma", type=float, default=1.0,
                      help="item weight base in (0, 1]; below 1 discounts items "
                           "far from their mean position (default: 1)")
@@ -166,33 +106,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(cfg: RunConfig) -> str:
-    rset = parse_rankings(cfg.input, cfg.input_format)
+def _q(flag: str, frac: str, n: int) -> int:
+    try:
+        return q_from_fraction(frac, n)
+    except ParameterError as exc:
+        raise ParameterError(f"{flag}: {exc}") from None
+
+
+def _run(args: argparse.Namespace) -> str:
+    rset = parse_rankings(args.input, args.input_format)
     n = len(rset)
 
-    if cfg.command in ("score", "patterns", "outliers"):
-        params = ScoreParams(q=cfg.resolve_q(n), gamma=cfg.gamma, lam=cfg.lam)
+    if args.command in ("score", "patterns", "outliers"):
+        q = args.q if args.q is not None else _q("--q-frac", args.q_frac, n)
+        params = ScoreParams(q=q, gamma=args.gamma, lam=args.lam)
         report = score(rset, params)
-        if cfg.command == "score":
-            return emit_report(report, cfg.out_format)
-        if cfg.command == "patterns":
-            return emit_patterns(report, cfg.out_format)
-        outrep = detect_outliers(report, eps1=cfg.eps1, eps2=cfg.eps2)
+        if args.command == "score":
+            return emit_report(report, args.out_format)
+        if args.command == "patterns":
+            return emit_patterns(report, args.out_format)
+        outrep = detect_outliers(report, eps1=args.eps1, eps2=args.eps2)
         rescored = None
-        if cfg.remove:
-            rescored = remove_and_rescore(rset, outrep, params, rescale_q=not cfg.absolute_q)
-        return emit_report(outrep, cfg.out_format, rescored=rescored)
+        if args.remove:
+            rescored = remove_and_rescore(rset, outrep.flagged_indices, params,
+                                          rescale_q=not args.absolute_q)
+        return emit_report(outrep, args.out_format, rescored=rescored)
 
-    if cfg.command == "sweep":
-        if not cfg.q_fracs:
-            raise ParameterError("--q-fracs is empty")
-        if not cfg.gammas or not cfg.lams:
-            raise ParameterError("--gammas and --lambdas must not be empty")
+    if args.command == "sweep":
+        for flag, values in (("--q-fracs", args.q_fracs), ("--gammas", args.gammas),
+                             ("--lambdas", args.lams)):
+            if not values:
+                raise ParameterError(f"{flag} is empty")
         rows = []
-        for frac in cfg.q_fracs:
-            q = q_from_fraction(frac, n)
-            for gamma in cfg.gammas:
-                for lam in cfg.lams:
+        for frac in args.q_fracs:
+            q = _q("--q-fracs", frac, n)
+            for gamma in args.gammas:
+                for lam in args.lams:
                     rep = score(rset, ScoreParams(q=q, gamma=gamma, lam=lam))
                     rows.append({
                         "q": q,
@@ -202,18 +151,15 @@ def _run(cfg: RunConfig) -> str:
                         "kappa1": rep.overall_kappa1,
                         "kappa2": rep.overall_kappa2,
                     })
-        return emit_sweep(rows, cfg.out_format)
+        return emit_sweep(rows, args.out_format)
 
-    if cfg.command == "correlate":
-        params = None
-        if cfg.measure.endswith("_topk"):
-            if cfg.topk is None:
-                raise ParameterError(f"--topk is required for measure {cfg.measure!r}")
-            params = TopKParams(k=cfg.topk, p=cfg.penalty, ell=cfg.ell)
-        averages = pairwise_average(rset, cfg.measure, params)
-        return emit_report(averages, cfg.out_format)
-
-    raise ParameterError(f"unknown command {cfg.command!r}")
+    params = None
+    if args.measure.endswith("_topk"):
+        if args.topk is None:
+            raise ParameterError(f"--topk is required for measure {args.measure!r}")
+        params = TopKParams(k=args.topk, p=args.penalty, ell=args.ell)
+    averages = pairwise_average(rset, args.measure, params)
+    return emit_report(averages, args.out_format)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -225,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         # into the parameter-error code
         return 0 if exc.code in (0, None) else 1
     try:
-        out = _run(RunConfig.from_args(args))
+        out = _run(args)
     except (ConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

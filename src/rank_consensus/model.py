@@ -13,10 +13,9 @@ distinct ranking in the cell order of its support matrix.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -159,9 +158,7 @@ class PatternTable:
     by its i-th and j-th items. Per entry, ``count`` is the pattern's
     support, ``total`` sums its position (``diag``) or its gap over the
     rankings that contain it, and ``value`` is the type's own position or
-    gap. ``keys``/``counts``/``totals`` list every counted pattern under the
-    key ``ids[x] * len(ids) + ids[y]``, for :meth:`lookup`. All arrays are
-    read-only.
+    gap. All arrays are read-only.
     """
 
     types: tuple[Ranking, ...]
@@ -171,29 +168,6 @@ class PatternTable:
     total: np.ndarray
     value: np.ndarray
     diag: np.ndarray
-    ids: Mapping[str, int]
-    keys: np.ndarray
-    counts: np.ndarray
-    totals: np.ndarray
-
-    _ARRAYS = ("offsets", "count", "total", "value", "diag", "keys", "counts", "totals")
-
-    def __eq__(self, other):
-        if not isinstance(other, PatternTable):
-            return NotImplemented
-        return ((self.types, self.type_of, self.ids) == (other.types, other.type_of, other.ids)
-                and all(np.array_equal(getattr(self, a), getattr(other, a))
-                        for a in self._ARRAYS))
-
-    def lookup(self, x: str, y: str) -> tuple[int, int]:
-        """``(count, total)`` of the pattern ``x y``; ``(0, 0)`` if uncounted."""
-        if x not in self.ids or y not in self.ids:
-            return 0, 0
-        key = self.ids[x] * len(self.ids) + self.ids[y]
-        i = int(np.searchsorted(self.keys, key))
-        if i < len(self.keys) and self.keys[i] == key:
-            return int(self.counts[i]), int(self.totals[i])
-        return 0, 0
 
 
 def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
@@ -237,18 +211,9 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
     arrays = dict(
         offsets=np.cumsum([0] + sizes),
         count=counts[entry], total=totals[entry], value=value,
-        diag=np.concatenate(diags), keys=keys, counts=counts, totals=totals,
+        diag=np.concatenate(diags),
     )
     for a in arrays.values():
         a.flags.writeable = False
-    return PatternTable(types=types, type_of=type_of, ids=MappingProxyType(ids), **arrays)
+    return PatternTable(types=types, type_of=type_of, **arrays)
 
-
-def position(item: str, ranking: Ranking) -> int:
-    """Functional form of :meth:`Ranking.position`."""
-    return ranking.position(item)
-
-
-def contains_pattern(x: str, y: str, ranking: Ranking) -> bool:
-    """Functional form of :meth:`Ranking.contains_pattern`."""
-    return ranking.contains_pattern(x, y)

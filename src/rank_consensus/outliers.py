@@ -8,6 +8,7 @@ the mean.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DegenerateConsensusError, ParameterError
@@ -74,25 +75,26 @@ def detect_outliers(report: ConsensusReport, eps1: float = 0.4, eps2: float = 0.
     return OutlierReport(consensus=report, eps1=eps1, eps2=eps2, per_ranking=tuple(deviations))
 
 
-def remove_and_rescore(rset: RankingSet, outlier_report: OutlierReport, params: ScoreParams,
+def remove_and_rescore(rset: RankingSet, drop: Iterable[int], params: ScoreParams,
                        *, rescale_q: bool = True) -> ConsensusReport:
-    """Drop the flagged rankings and score the remainder.
+    """Drop the rankings at the indices ``drop`` and score the remainder.
 
-    By default the threshold keeps its *relative* strength: ``q`` becomes
-    ``ceil(q/N * N')`` for the surviving count ``N'``, computed in integer
-    arithmetic. With ``rescale_q=False`` the absolute ``q`` is kept (and must
-    still be feasible for the smaller set).
+    The CLI drops ``detect_outliers(...).flagged_indices``; any other choice
+    of indices works the same way, and a repeated index drops its ranking
+    once. By default the threshold keeps its *relative* strength: ``q``
+    becomes ``ceil(q/N * N')`` for the surviving count ``N'``, computed in
+    integer arithmetic. With ``rescale_q=False`` the absolute ``q`` is kept
+    (and must still be feasible for the smaller set).
     """
-    if len(outlier_report.per_ranking) != len(rset):
-        raise ParameterError(
-            f"outlier report covers {len(outlier_report.per_ranking)} rankings, "
-            f"the set has {len(rset)}"
-        )
-    keep = [i for i, d in enumerate(outlier_report.per_ranking) if not d.flagged]
-    if not keep:
-        raise ParameterError("every ranking was flagged; nothing left to score")
-    survivors = RankingSet([rset[i] for i in keep])
     n_old = len(rset)
+    gone = set()
+    for i in drop:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n_old:
+            raise ParameterError(f"cannot drop index {i!r}: the set has {n_old} rankings")
+        gone.add(i)
+    if len(gone) == n_old:
+        raise ParameterError("every ranking was dropped; nothing left to score")
+    survivors = RankingSet(r for i, r in enumerate(rset) if i not in gone)
     n_new = len(survivors)
     if rescale_q:
         q_new = -(-params.q * n_new // n_old)  # ceil(q * n_new / n_old)

@@ -14,7 +14,7 @@ supported-pattern sets are built only when first read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +26,6 @@ from .model import RankingSet
 from .support import (
     SupportMatrix,
     SupportSets,
-    _check_params,
     support_matrices_fast,
     support_sets,
 )
@@ -39,9 +38,6 @@ class ScoreParams:
     q: int
     gamma: float = 1.0
     lam: float = 1.0
-
-    def validate(self, rset: RankingSet) -> None:
-        _check_params(rset, self.q, self.gamma, self.lam)
 
 
 def q_from_fraction(frac: Fraction | str | float, n_rankings: int) -> int:
@@ -152,11 +148,10 @@ class ConsensusReport:
     overall_kappa1: float
     overall_kappa2: float
     matrices: tuple[SupportMatrix, ...]
-    rset: RankingSet = field(repr=False)
 
     @cached_property
     def sets(self) -> SupportSets:
-        return support_sets(list(self.matrices), self.rset)
+        return support_sets(list(self.matrices))
 
 
 def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
@@ -188,5 +183,4 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
         overall_kappa1=overall1,
         overall_kappa2=overall2,
         matrices=tuple(matrices),
-        rset=rset,
     )

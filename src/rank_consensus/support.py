@@ -182,16 +182,12 @@ def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
     return [SupportMatrix(l, *shared[t]) for l, t in enumerate(table.type_of)]
 
 
-def support_sets(matrices: list[SupportMatrix], rset: RankingSet) -> SupportSets:
-    """Read the supported-pattern sets off matrices built for ``rset``.
+def support_sets(matrices: list[SupportMatrix]) -> SupportSets:
+    """Read the supported-pattern sets off the matrices of one ranking set.
 
     Matrices that share one ``supported`` array (duplicate rankings) share
     one :class:`RankingSupport`.
     """
-    if len(matrices) != len(rset):
-        raise ParameterError(
-            f"expected {len(rset)} matrices for this ranking set, got {len(matrices)}"
-        )
     # keyed by array identity: every matrix, so every key, outlives the loop
     distinct: dict[int, RankingSupport] = {}
     per = []

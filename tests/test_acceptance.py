@@ -21,7 +21,6 @@ from test_support import EXPECTED_Q3
 from rank_consensus import (
     ParameterError,
     Ranking,
-    RankingDeviation,
     RankingSet,
     ScoreParams,
     TopKParams,
@@ -210,7 +209,7 @@ def test_criterion_5_synthetic_outlier_round_trip():
         assert rep.overall_kappa2 == 0.9
         out = detect_outliers(rep)  # default eps2 = 0.4
         assert out.flagged_indices == [9]
-        rescored = remove_and_rescore(rs, out, params)
+        rescored = remove_and_rescore(rs, out.flagged_indices, params)
         assert rescored.overall_kappa2 == 1.0
 
 
@@ -286,17 +285,8 @@ def test_criterion_6_dots_datasets():
                 [tokens[p - 1] for p in DOTS_EXPECTED["worst_type"][i]])
             assert worst[0] == expected_worst
 
-            flagged_types = set(worst)
-            base = detect_outliers(weighted, eps1=100.0, eps2=100.0)
-            forced = type(base)(
-                consensus=base.consensus, eps1=base.eps1, eps2=base.eps2,
-                per_ranking=tuple(
-                    RankingDeviation(d.index, d.v1, d.v2, rset[d.index] in flagged_types)
-                    for d in base.per_ranking
-                ),
-            )
-            rescored = remove_and_rescore(rset, forced,
-                                          ScoreParams(q=q_half, gamma=0.5, lam=0.5))
+            drop = [l for l, r in enumerate(rset) if r in worst]
+            rescored = remove_and_rescore(rset, drop, weighted.params)
             assert rescored.overall_kappa1 == pytest.approx(
                 DOTS_EXPECTED["post_removal_k1"][i], abs=0.01)
             assert rescored.overall_kappa2 == pytest.approx(

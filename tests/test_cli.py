@@ -177,13 +177,23 @@ def test_help_exits_zero(capsys):
     ["sweep", "--q-fracs", "1/0"],
     ["score", "--q-frac", "1e400"],
     ["sweep", "--q-fracs", "1e5000"],
+    ["score", "--q-frac", ""],
 ])
 def test_bad_threshold_text_exits_one(example_file, capsys, argv):
     code, out, err = run(capsys, argv[0], example_file, *argv[1:])
     assert code == 1
     assert out == ""
     assert repr(argv[-1]) in err
+    assert argv[1] in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("flag", ["--q-fracs", "--gammas", "--lambdas"])
+def test_empty_sweep_list_exits_one(example_file, capsys, flag):
+    code, out, err = run(capsys, "sweep", example_file, flag, ",")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} is empty\n"
 
 
 def test_non_utf8_file_exits_one(tmp_path, capsys):

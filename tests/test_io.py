@@ -216,7 +216,7 @@ def test_outlier_json_with_rescore(example_set):
     params = ScoreParams(q=3)
     rep = score(example_set, params)
     out = detect_outliers(rep)
-    rescored = remove_and_rescore(example_set, out, params)
+    rescored = remove_and_rescore(example_set, out.flagged_indices, params)
     payload = json.loads(emit_report(out, rescored=rescored))
     assert payload["thresholds"] == {"eps1": 0.4, "eps2": 0.4}
     assert payload["flagged_indices"] == [2]
@@ -457,7 +457,7 @@ def assert_emits_reference(rset, params):
     assert emit_report(out, "csv") == reference_csv(SCORE_COLUMNS,
                                                     reference_score_rows(rep, out))
     try:
-        rescored = remove_and_rescore(rset, out, params)
+        rescored = remove_and_rescore(rset, out.flagged_indices, params)
     except ParameterError:  # every vote flagged
         return
     assert emit_report(out, rescored=rescored) == reference_json(reference_outliers(out, rescored))
@@ -499,7 +499,7 @@ def test_rows_are_rendered_once_per_distinct_ranking(monkeypatch):
     params = ScoreParams(q=100)
     rep = score(rset, params)
     out = detect_outliers(rep, eps1=2, eps2=2)  # no vote flagged
-    rescored = remove_and_rescore(rset, out, params)
+    rescored = remove_and_rescore(rset, out.flagged_indices, params)
     text = emit_report(rep)
     for emitted in (emit_report(rep, "csv"), emit_patterns(rep), emit_patterns(rep, "csv"),
                     emit_report(out, rescored=rescored), emit_report(out, "csv")):

@@ -1,10 +1,11 @@
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from conftest import rankings_st
-from rank_consensus import Ranking, RankingSet, contains_pattern, position
+from rank_consensus import Ranking, RankingSet
 
 
 def test_positions_are_block_indices():
@@ -18,7 +19,6 @@ def test_positions_are_block_indices():
 def test_absent_item_has_position_zero():
     r = Ranking.strict("abc")
     assert r.position("z") == 0
-    assert position("z", r) == 0
 
 
 def test_strict_constructor_and_flags():
@@ -37,7 +37,7 @@ def test_contains_pattern_strict_order():
     r = Ranking.strict("bca")
     assert r.contains_pattern("b", "a")
     assert not r.contains_pattern("a", "b")
-    assert contains_pattern("c", "a", r)
+    assert r.contains_pattern("c", "a")
 
 
 def test_tied_items_support_both_orders():
@@ -116,27 +116,29 @@ def test_pattern_order_matches_positions(r):
 
 def test_pattern_stats_counts_ties_both_ways_and_repeats():
     tied = Ranking([["a", "b"], ["c"]])
-    rs = RankingSet([tied, tied, Ranking.strict("ca")])
+    rs = RankingSet([tied, tied, Ranking.strict("ca"), Ranking.strict("ba")])
     stats = rs.pattern_stats
-    assert stats.lookup("a", "b") == stats.lookup("b", "a") == (2, 0)
-    assert stats.lookup("a", "a") == (3, 1 + 1 + 2)
-    assert stats.lookup("a", "c") == (2, 2)
-    assert stats.lookup("c", "a") == (1, 1)
-    assert stats.lookup("c", "b") == (0, 0)
     # per distinct ranking, cell by cell: a a, a b, b b, a c, b c, c c for
-    # the tied one (counted twice), then c c, c a, a a
-    assert stats.types == (tied, Ranking.strict("ca"))
-    assert stats.type_of == (0, 0, 1)
-    assert stats.offsets.tolist() == [0, 6, 9]
-    assert stats.count.tolist() == [3, 2, 2, 2, 2, 3, 3, 1, 3]
-    assert stats.total.tolist() == [4, 0, 2, 2, 2, 5, 5, 1, 4]
-    assert stats.value.tolist() == [1, 0, 1, 1, 1, 2, 1, 1, 2]
-    assert stats.diag.tolist() == [True, False, True, False, False, True, True, False, True]
+    # the tied one (counted twice), then c c, c a, a a, then b b, b a, a a;
+    # the tied pair counts in both orders, so "a b" has the two tied votes
+    # and "b a" has those two plus "ba"
+    assert stats.types == (tied, Ranking.strict("ca"), Ranking.strict("ba"))
+    assert stats.type_of == (0, 0, 1, 2)
+    assert stats.offsets.tolist() == [0, 6, 9, 12]
+    assert stats.count.tolist() == [4, 2, 3, 2, 2, 3, 3, 1, 4, 3, 3, 4]
+    assert stats.total.tolist() == [6, 0, 3, 2, 2, 5, 5, 1, 6, 3, 1, 6]
+    assert stats.value.tolist() == [1, 0, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2]
+    assert stats.diag.tolist() == [True, False, True, False, False, True,
+                                   True, False, True, True, False, True]
     assert rs.pattern_stats is stats
 
 
 def test_ranking_set_pickles_after_counting(example_set):
-    example_set.pattern_stats
+    stats = example_set.pattern_stats
     copy = pickle.loads(pickle.dumps(example_set))
     assert copy == example_set
-    assert copy.pattern_stats == example_set.pattern_stats
+    counted = copy.pattern_stats
+    assert counted is not stats
+    assert (counted.types, counted.type_of) == (stats.types, stats.type_of)
+    for name in ("offsets", "count", "total", "value", "diag"):
+        assert np.array_equal(getattr(counted, name), getattr(stats, name))

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from conftest import ranking_sets_st
 from rank_consensus import (
     DegenerateConsensusError,
-    OutlierReport,
     ParameterError,
     Ranking,
-    RankingDeviation,
     RankingSet,
     ScoreParams,
     detect_outliers,
@@ -105,7 +103,7 @@ def test_reversal_is_flagged_and_removal_restores_full_consensus():
     out = detect_outliers(rep)
     assert out.flagged_indices == [9]
     assert out.per_ranking[9].v2 == pytest.approx(-1.0)
-    rescored = remove_and_rescore(rs, out, params)
+    rescored = remove_and_rescore(rs, out.flagged_indices, params)
     assert rescored.n_rankings == 9
     assert rescored.params.q == 5  # ceil(5 * 9 / 10)
     assert rescored.overall_kappa2 == 1.0
@@ -118,46 +116,42 @@ def test_q_rescales_proportionally():
     params = ScoreParams(q=5)
     out = detect_outliers(score(rs, params))
     assert out.flagged_indices == [8, 9]
-    rescored = remove_and_rescore(rs, out, params)
+    rescored = remove_and_rescore(rs, out.flagged_indices, params)
     assert rescored.params.q == 4  # ceil(5 * 8 / 10)
-    absolute = remove_and_rescore(rs, out, params, rescale_q=False)
+    absolute = remove_and_rescore(rs, out.flagged_indices, params, rescale_q=False)
     assert absolute.params.q == 5
 
 
-def _force_flags(out: OutlierReport, flags) -> OutlierReport:
-    forced = tuple(
-        RankingDeviation(d.index, d.v1, d.v2, flag)
-        for d, flag in zip(out.per_ranking, flags)
-    )
-    return OutlierReport(consensus=out.consensus, eps1=out.eps1, eps2=out.eps2,
-                         per_ranking=forced)
-
-
 def test_removing_everything_is_an_error(example_set):
-    params = ScoreParams(q=3)
-    out = detect_outliers(score(example_set, params))
-    forced = _force_flags(out, [True] * 4)
-    with pytest.raises(ParameterError):
-        remove_and_rescore(example_set, forced, params)
+    with pytest.raises(ParameterError, match="every ranking was dropped"):
+        remove_and_rescore(example_set, [3, 2, 1, 0], ScoreParams(q=3))
 
 
-def test_report_must_cover_the_set(example_set):
+def test_drop_index_must_be_in_range(example_set):
+    for bad in (4, -1, 1.0, "0", True, None):
+        with pytest.raises(ParameterError) as info:
+            remove_and_rescore(example_set, [0, bad], ScoreParams(q=3))
+        assert f"index {bad!r}: the set has 4 rankings" in str(info.value)
+
+
+def test_repeated_drop_index_removes_once(example_set):
     params = ScoreParams(q=3)
-    out = detect_outliers(score(example_set, params))
-    smaller = RankingSet([example_set[0], example_set[1]])
-    with pytest.raises(ParameterError):
-        remove_and_rescore(smaller, out, params)
+    once = remove_and_rescore(example_set, [1], params)
+    twice = remove_and_rescore(example_set, [1, 1, 1], params)
+    assert once.n_rankings == twice.n_rankings == 3
+    assert twice.params == once.params == ScoreParams(q=3)  # ceil(3 * 3 / 4)
+    assert twice.per_ranking == once.per_ranking
+    assert score(RankingSet([example_set[i] for i in (0, 2, 3)]),
+                 params).per_ranking == once.per_ranking
 
 
 def test_absolute_q_can_become_infeasible():
     rs = RankingSet([Ranking.strict("abc") for _ in range(3)])
     params = ScoreParams(q=3)
-    out = detect_outliers(score(rs, params))
-    forced = _force_flags(out, [True, True, False])
     with pytest.raises(ParameterError):
-        remove_and_rescore(rs, forced, params, rescale_q=False)
+        remove_and_rescore(rs, [0, 1], params, rescale_q=False)
     # proportional rescale stays feasible: q' = ceil(3 * 1 / 3) = 1
-    rescored = remove_and_rescore(rs, forced, params)
+    rescored = remove_and_rescore(rs, [0, 1], params)
     assert rescored.params.q == 1
 
 

@@ -100,9 +100,9 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
     calls = []
     real = scores.support_sets
 
-    def counting(matrices, rs):
+    def counting(matrices):
         calls.append(1)
-        return real(matrices, rs)
+        return real(matrices)
 
     monkeypatch.setattr(scores, "support_sets", counting)
     grid = [(q, base, base) for q in (1, 3, 5, 10) for base in (1.0, 0.7, 0.2)]
@@ -110,7 +110,7 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
     assert len(reports) == 12
     assert calls == []
     for rep in reports:
-        assert rep.sets == real(list(rep.matrices), rset)
+        assert rep.sets == real(list(rep.matrices))
         assert rep.sets is rep.sets
     assert len(calls) == 12
 

@@ -22,3 +22,26 @@ def test_weight_sweep_prints_one_row_per_fraction(tmp_path, capsys):
     assert len(rows) == 6
     for row in rows:
         assert len(re.findall(r"\b[01]\.\d\d/[01]\.\d\d\b", row)) == len(sweep.BASES)
+
+
+def test_dots_analysis_drops_the_votes_of_the_deviant_types(tmp_path, capsys):
+    names = "".join(f"# ALTERNATIVE NAME {i}: dots{i}\n" for i in range(1, 5))
+    elections = {
+        "easy.soc": {"1,2,3,4": 40, "1,3,2,4": 9, "2,1,3,4": 7, "4,3,2,1": 2, "1,2,4,3": 5},
+        "hard.soc": {"1,2,3,4": 12, "2,1,3,4": 10, "1,3,2,4": 8, "3,4,1,2": 3,
+                     "4,3,1,2": 4, "2,1,4,3": 6},
+    }
+    for name, votes in elections.items():
+        lines = "".join(f"{count}: {order}\n" for order, count in votes.items())
+        (tmp_path / name).write_text(names + lines)
+    dots = load_script("dots_analysis")
+    assert dots.main([str(tmp_path)]) == 0
+    sections = capsys.readouterr().out.split("\n=== ")[1:]
+    assert len(sections) == len(elections)
+    for section, votes in zip(sections, elections.values()):
+        n = int(re.search(r": N=(\d+),", section).group(1))
+        dropped = [int(v) for v in re.findall(r"  v2=\S+  votes=(\d+)", section)]
+        n_left = int(re.search(r"after removal: N'=(\d+),", section).group(1))
+        assert n == sum(votes.values())
+        assert len(dropped) == 4
+        assert n_left == n - sum(dropped)

@@ -95,7 +95,7 @@ def test_trace_and_offdiagonal_helpers(example_set):
 
 def test_support_sets_per_ranking_and_union(example_set):
     mats = support_matrices_fast(example_set, 3)
-    sets = support_sets(mats, example_set)
+    sets = support_sets(mats)
     assert sets.singles == frozenset("abcdef")
     assert sets.per_ranking[2].singles == frozenset("abdf")
     assert sets.per_ranking[2].pairs == {
@@ -105,12 +105,6 @@ def test_support_sets_per_ranking_and_union(example_set):
         ("a", "f"), ("b", "a"), ("b", "c"), ("b", "d"), ("b", "e"), ("b", "f"),
         ("c", "d"), ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f"),
     }
-
-
-def test_support_sets_rejects_mismatched_matrices(example_set):
-    mats = support_matrices_fast(example_set, 3)
-    with pytest.raises(ParameterError):
-        support_sets(mats[:2], example_set)
 
 
 def test_q_one_supports_everything(example_set):
