@@ -39,11 +39,12 @@ T = TypeVar("T")
 # parsing
 
 _SPECIALS = ",{}"
-# most votes one preflib file may expand to. Every vote is still scored on
-# its own, and its report text is held twice while it is written: at 200 000
-# votes over 4 rankings, `score` peaks at 145 MB as CSV and 309 MB as JSON
-# (0.54 KB of text per vote), `outliers --remove` at 255 and 450 MB, so this
-# bounds the memory of a run
+# most votes one preflib file may expand to. Scores and flags are held once
+# per distinct ranking, but a report still prints one row per vote and its
+# text is held twice while it is written. At 200 000 votes over the README's
+# 4 rankings at q = N/2, `score` peaks at 127 MB as CSV (7 MB of text) and
+# 458 MB as JSON (212 MB), `outliers --remove` at 127 and 303 MB (15 and
+# 121 MB), so the JSON of `score` would need about 2.3 GB at this cap
 MAX_VOTES = 10**6
 
 
@@ -226,6 +227,11 @@ def _shared(votes: Iterable[tuple[int, Hashable]],
         yield index, text
 
 
+def _by_vote(type_of: Iterable[int], rows: list | tuple) -> list[tuple[int, Hashable]]:
+    """``(index, rows[t])`` for each vote ``index`` of type ``t``."""
+    return [(index, rows[t]) for index, t in enumerate(type_of)]
+
+
 @dataclass(frozen=True)
 class _Rows:
     """A JSON list of one row per vote: ``{"index": i, **fields(key)}`` for
@@ -349,11 +355,7 @@ def _consensus_payload(report: ConsensusReport) -> dict:
             "kappa1_display": _disp(report.overall_kappa1),
             "kappa2_display": _disp(report.overall_kappa2),
         },
-        "per_ranking": _Rows(
-            [(rs.index, (rs.m, rs.n_pairs, rs.kappa1, rs.kappa2, rs.singleton))
-             for rs in report.per_ranking],
-            _score_fields,
-        ),
+        "per_ranking": _Rows(_by_vote(report.type_of, report.per_type), _score_fields),
     }
 
 
@@ -361,12 +363,10 @@ _SCORE_COLUMNS = ["index", "m", "kappa1", "kappa2", "v1", "v2", "flagged"]
 
 
 def _score_table(report: ConsensusReport, outliers: OutlierReport | None) -> str:
-    deviations = {d.index: d for d in outliers.per_ranking} if outliers else {}
-    votes = []
-    for rs in report.per_ranking:
-        d = deviations.get(rs.index)
-        dev = None if d is None else (d.v1, d.v2, d.flagged)
-        votes.append((rs.index, (rs.m, rs.kappa1, rs.kappa2, dev)))
+    deviations = outliers.per_type if outliers else [None] * len(report.per_type)
+    keys = [(m, kappa1, kappa2, dev)
+            for (m, _, kappa1, kappa2, _), dev in zip(report.per_type, deviations)]
+    votes = _by_vote(report.type_of, keys)
 
     def tail(key) -> str:
         m, kappa1, kappa2, dev = key
@@ -394,16 +394,15 @@ def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
         payload = {
             "thresholds": {"eps1": report.eps1, "eps2": report.eps2},
             "consensus": _consensus_payload(report.consensus),
-            "per_ranking": _Rows(
-                [(d.index, (d.v1, d.v2, d.flagged)) for d in report.per_ranking],
-                _deviation_fields,
-            ),
+            "per_ranking": _Rows(_by_vote(report.consensus.type_of, report.per_type),
+                                 _deviation_fields),
             "flagged_indices": report.flagged_indices,
         }
         if rescored is not None:
-            survivors = [d.index for d in report.per_ranking if not d.flagged]
+            kept = rescored.original_indices
             rescored_payload = _consensus_payload(rescored)
-            rescored_payload["original_indices"] = survivors
+            rescored_payload["original_indices"] = list(
+                range(rescored.n_rankings) if kept is None else kept)
             payload["rescored"] = rescored_payload
         return _json(payload)
     if isinstance(report, PairwiseAverages):

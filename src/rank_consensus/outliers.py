@@ -9,7 +9,8 @@ the mean.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import DegenerateConsensusError, ParameterError
 from .model import RankingSet
@@ -26,20 +27,32 @@ class RankingDeviation:
 
 @dataclass(frozen=True, eq=False)
 class OutlierReport:
-    """Deviations and flags, together with the consensus run they came from."""
+    """Deviations and flags, together with the consensus run they came from.
+
+    ``per_type`` holds ``(v1, v2, flagged)`` once per distinct ranking of
+    the consensus run; ``per_ranking`` is the per-vote view of it, built
+    the first time it is read.
+    """
 
     consensus: ConsensusReport
     eps1: float
     eps2: float
-    per_ranking: tuple[RankingDeviation, ...]
+    per_type: tuple[tuple[float, float, bool], ...]
+
+    @cached_property
+    def per_ranking(self) -> tuple[RankingDeviation, ...]:
+        rows = self.per_type
+        return tuple(RankingDeviation(l, *rows[t])
+                     for l, t in enumerate(self.consensus.type_of))
 
     @property
     def flags(self) -> list[bool]:
-        return [d.flagged for d in self.per_ranking]
+        rows = self.per_type
+        return [rows[t][2] for t in self.consensus.type_of]
 
     @property
     def flagged_indices(self) -> list[int]:
-        return [d.index for d in self.per_ranking if d.flagged]
+        return [l for l, flagged in enumerate(self.flags) if flagged]
 
     @property
     def n_flagged(self) -> int:
@@ -50,13 +63,14 @@ def detect_outliers(report: ConsensusReport, eps1: float = 0.4, eps2: float = 0.
     """Flag rankings whose score sits more than ``eps`` below the mean, relatively.
 
     The comparison is strict: a deviation of exactly ``-eps`` is not flagged.
+    Deviations are computed once per distinct ranking.
     """
     for name, value in (("eps1", eps1), ("eps2", eps2)):
         if not value > 0:
             raise ParameterError(f"{name} must be positive, got {value}")
     mean1 = report.overall_kappa1
     mean2 = report.overall_kappa2
-    if all(rs.singleton for rs in report.per_ranking):
+    if all(len(ranking) == 1 for ranking in report.support.types):
         raise DegenerateConsensusError(
             "relative deviations are undefined: every ranking has a single item, "
             f"so there are no pairs and kappa2 is 0 by convention (kappa1={mean1})"
@@ -66,13 +80,11 @@ def detect_outliers(report: ConsensusReport, eps1: float = 0.4, eps2: float = 0.
             "relative deviations are undefined: mean scores are "
             f"kappa1={mean1}, kappa2={mean2}; raise q's reach or lower q"
         )
-    deviations = []
-    for rs in report.per_ranking:
-        v1 = (rs.kappa1 - mean1) / mean1
-        v2 = (rs.kappa2 - mean2) / mean2
-        flagged = v1 < -eps1 or v2 < -eps2
-        deviations.append(RankingDeviation(index=rs.index, v1=v1, v2=v2, flagged=flagged))
-    return OutlierReport(consensus=report, eps1=eps1, eps2=eps2, per_ranking=tuple(deviations))
+    v1 = (report.kappa1 - mean1) / mean1
+    v2 = (report.kappa2 - mean2) / mean2
+    flagged = (v1 < -eps1) | (v2 < -eps2)
+    return OutlierReport(consensus=report, eps1=eps1, eps2=eps2,
+                         per_type=tuple(zip(v1.tolist(), v2.tolist(), flagged.tolist())))
 
 
 def remove_and_rescore(rset: RankingSet, drop: Iterable[int], params: ScoreParams,
@@ -84,7 +96,8 @@ def remove_and_rescore(rset: RankingSet, drop: Iterable[int], params: ScoreParam
     once. By default the threshold keeps its *relative* strength: ``q``
     becomes ``ceil(q/N * N')`` for the surviving count ``N'``, computed in
     integer arithmetic. With ``rescale_q=False`` the absolute ``q`` is kept
-    (and must still be feasible for the smaller set).
+    (and must still be feasible for the smaller set). The report records the
+    surviving indices as ``original_indices``.
     """
     n_old = len(rset)
     gone = set()
@@ -94,11 +107,12 @@ def remove_and_rescore(rset: RankingSet, drop: Iterable[int], params: ScoreParam
         gone.add(i)
     if len(gone) == n_old:
         raise ParameterError("every ranking was dropped; nothing left to score")
-    survivors = RankingSet(r for i, r in enumerate(rset) if i not in gone)
+    kept = tuple(i for i in range(n_old) if i not in gone)
+    survivors = RankingSet(rset[i] for i in kept)
     n_new = len(survivors)
     if rescale_q:
         q_new = -(-params.q * n_new // n_old)  # ceil(q * n_new / n_old)
     else:
         q_new = params.q
     new_params = ScoreParams(q=q_new, gamma=params.gamma, lam=params.lam)
-    return score(survivors, new_params)
+    return replace(score(survivors, new_params), original_indices=kept)

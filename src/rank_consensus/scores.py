@@ -8,8 +8,11 @@ With weights ``gamma``/``lam`` below 1, certified entries decay with the
 distance between the owner ranking's placement and the set-wide mean
 placement, so the scores reward agreement *and* proximity.
 
-Rankings that share a matrix (duplicates) are scored once. A report's
-supported-pattern sets are built only when first read.
+Scores are reduced from the support matrices batched by ranking length:
+each distinct ranking is scored once, by ``np.trace`` and a sum over its
+matrix in the batch, and a report keeps those per-type scores. The per-vote
+rows, the per-vote matrices and the supported-pattern sets are views built
+only when first read.
 """
 from __future__ import annotations
 
@@ -23,9 +26,13 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import RankingSet
-from .support import (
+# support_matrices_fast is not called here, but perfbench/spans.py traces it
+# under this module's name
+from .support import (  # noqa: F401
+    SupportBatches,
     SupportMatrix,
     SupportSets,
+    support_batches,
     support_matrices_fast,
     support_sets,
 )
@@ -138,16 +145,48 @@ class RankingScore:
 class ConsensusReport:
     """Everything a scoring run produced, in one place.
 
-    ``sets`` is built from the matrices the first time it is read, so runs
-    whose output never prints the supported patterns do not pay for them.
+    Scores are held once per distinct ranking: ``kappa1``/``kappa2`` are
+    indexed by type, and ``type_of[l]`` is the type of vote ``l``. The
+    per-vote views (``per_ranking``, ``matrices``) and the supported-pattern
+    ``sets`` are built the first time they are read, so runs whose output
+    never prints them do not pay for them. ``original_indices`` records, for
+    a report of :func:`~rank_consensus.outliers.remove_and_rescore`, the
+    index in the original set of each vote it scored; it is ``None`` for a
+    report of a whole set.
     """
 
     params: ScoreParams
     n_rankings: int
-    per_ranking: tuple[RankingScore, ...]
     overall_kappa1: float
     overall_kappa2: float
-    matrices: tuple[SupportMatrix, ...]
+    support: SupportBatches
+    kappa1: np.ndarray
+    kappa2: np.ndarray
+    original_indices: tuple[int, ...] | None = None
+
+    @property
+    def type_of(self) -> tuple[int, ...]:
+        return self.support.type_of
+
+    @cached_property
+    def per_type(self) -> tuple[tuple[int, int, float, float, bool], ...]:
+        """``(m, n_pairs, kappa1, kappa2, singleton)`` of each distinct ranking."""
+        rows = []
+        for ranking, kappa1, kappa2 in zip(self.support.types, self.kappa1.tolist(),
+                                           self.kappa2.tolist()):
+            m = len(ranking)
+            n_pairs = m * (m - 1) // 2
+            rows.append((m, n_pairs, kappa1, kappa2, not n_pairs))
+        return tuple(rows)
+
+    @cached_property
+    def per_ranking(self) -> tuple[RankingScore, ...]:
+        rows = self.per_type
+        return tuple(RankingScore(l, *rows[t]) for l, t in enumerate(self.type_of))
+
+    @cached_property
+    def matrices(self) -> tuple[SupportMatrix, ...]:
+        return tuple(self.support.matrices())
 
     @cached_property
     def sets(self) -> SupportSets:
@@ -157,30 +196,29 @@ class ConsensusReport:
 def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
     """Score every ranking in the set and average.
 
-    Duplicate rankings share one matrix, which is scored once.
+    Each distinct ranking is scored once, from its length's batch of
+    matrices; the averages sum every vote's scores with ``math.fsum``.
     """
-    matrices = support_matrices_fast(rset, params.q, gamma=params.gamma, lam=params.lam)
-    # keyed by array identity: every matrix, so every key, outlives the loop
-    kappas: dict[int, tuple[float, float]] = {}
-    per = []
-    for mat in matrices:
-        m = mat.m
+    support = support_batches(rset, params.q, gamma=params.gamma, lam=params.lam)
+    kappa1 = np.empty(len(support.types))
+    kappa2 = np.zeros(len(support.types))  # 0 by convention without pairs
+    for index, entries, _ in support.batches:
+        m = entries.shape[1]
         n_pairs = m * (m - 1) // 2
-        kappa = kappas.get(id(mat.entries))
-        if kappa is None:
-            trace = float(np.trace(mat.entries))
-            kappa2 = (float(mat.entries.sum()) - trace) / n_pairs if n_pairs else 0.0
-            kappa = kappas[id(mat.entries)] = (trace / m, kappa2)
-        per.append(RankingScore(index=mat.owner, m=m, n_pairs=n_pairs,
-                                kappa1=kappa[0], kappa2=kappa[1], singleton=not n_pairs))
-    n = len(per)
-    overall1 = math.fsum(r.kappa1 for r in per) / n
-    overall2 = math.fsum(r.kappa2 for r in per) / n
+        trace = np.trace(entries, axis1=1, axis2=2)
+        kappa1[index] = trace / m
+        if n_pairs:
+            kappa2[index] = (entries.sum(axis=(1, 2)) - trace) / n_pairs
+    for a in (kappa1, kappa2):
+        a.flags.writeable = False
+    votes = np.bincount(support.type_of, minlength=len(support.types))
+    n = len(rset)
     return ConsensusReport(
         params=params,
         n_rankings=n,
-        per_ranking=tuple(per),
-        overall_kappa1=overall1,
-        overall_kappa2=overall2,
-        matrices=tuple(matrices),
+        overall_kappa1=math.fsum(np.repeat(kappa1, votes).tolist()) / n,
+        overall_kappa2=math.fsum(np.repeat(kappa2, votes).tolist()) / n,
+        support=support,
+        kappa1=kappa1,
+        kappa2=kappa2,
     )

@@ -11,10 +11,12 @@ pair's gap deviation from its set-wide mean gap).
 
 Two construction routes are provided on purpose: :func:`support_matrix_naive`
 rescans the whole set for every entry and is the reference oracle, while
-:func:`support_matrices_fast` thresholds and weights the entries of the
-set's pattern table (:attr:`RankingSet.pattern_stats`) in whole-array
-operations and builds one read-only matrix per distinct ranking, which
-duplicate rankings share. They must agree entrywise.
+:func:`support_batches` thresholds and weights the entries of the set's
+pattern table (:attr:`RankingSet.pattern_stats`) in whole-array operations
+and fills one read-only ``(k, m, m)`` batch per length ``m`` of the set's
+distinct rankings. They must agree entrywise. Scores reduce the batches
+directly; :func:`support_matrices_fast` and a report's ``matrices`` are
+per-vote views of them, in which duplicate rankings share one matrix.
 """
 from __future__ import annotations
 
@@ -151,13 +153,42 @@ def _weights(base: float, value: np.ndarray, total: np.ndarray,
     return np.array([_weight(base, d) for d in unique.tolist()])[inverse]
 
 
-def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
-                          lam: float = 1.0) -> list[SupportMatrix]:
-    """All per-ranking support matrices, read off the set's pattern table.
+# most bytes the float and bool matrices of one batch may take. The distinct
+# rankings of one length that need more are split over several batches, which
+# bounds the index arrays that fill a batch: with 16 MB batches, fifty
+# 100-item lists peaked 2.2 MB higher than with one matrix at a time
+_BATCH_BYTES = 1 << 18
 
-    Entrywise identical to running :func:`support_matrix_naive` for every
-    ranking. Duplicate rankings share one read-only ``entries`` and
-    ``supported`` array.
+
+@dataclass(frozen=True, eq=False)
+class SupportBatches:
+    """The support matrices of a set's distinct rankings, batched by length.
+
+    Each batch is ``(index, entries, supported)``: the type indices of ``k``
+    distinct rankings of one length ``m`` and their read-only ``(k, m, m)``
+    matrices. ``types`` and ``type_of`` are the set's pattern table's.
+    """
+
+    types: tuple[Ranking, ...]
+    type_of: tuple[int, ...]
+    batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def matrices(self) -> list[SupportMatrix]:
+        """One matrix per vote; the votes of one distinct ranking share its
+        read-only views into the batches."""
+        shared: list[tuple] = [()] * len(self.types)
+        for index, entries, supported in self.batches:
+            for t, e, s in zip(index.tolist(), entries, supported):
+                shared[t] = (self.types[t].items, e, s)
+        return [SupportMatrix(l, *shared[t]) for l, t in enumerate(self.type_of)]
+
+
+def support_batches(rset: RankingSet, q: int, *, gamma: float = 1.0,
+                    lam: float = 1.0) -> SupportBatches:
+    """Every distinct ranking's support matrix, read off the set's pattern table.
+
+    All entries are thresholded and weighted at once; each batch is then
+    filled by fancy indexing from the entries of its rankings.
     """
     _check_params(rset, q, gamma, lam)
     table = rset.pattern_stats
@@ -167,19 +198,37 @@ def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
         if base != 1.0:
             sel = supported & kind
             weights[sel] = _weights(base, table.value[sel], table.total[sel], table.count[sel])
-    shared = []
-    offsets = table.offsets.tolist()
+    groups: dict[int, list[int]] = {}
     for t, ranking in enumerate(table.types):
-        m = len(ranking)
-        cells = lower_triangle(m)
-        span = slice(offsets[t], offsets[t + 1])
-        entries = np.zeros((m, m))
-        entries[cells] = weights[span]
-        mask = np.zeros((m, m), dtype=bool)
-        mask[cells] = supported[span]
-        entries.flags.writeable = mask.flags.writeable = False
-        shared.append((ranking.items, entries, mask))
-    return [SupportMatrix(l, *shared[t]) for l, t in enumerate(table.type_of)]
+        groups.setdefault(len(ranking), []).append(t)
+    batches = []
+    for m, group in sorted(groups.items()):
+        rows, cols = lower_triangle(m)
+        cells = np.arange(len(rows))
+        group = np.array(group)
+        step = max(1, _BATCH_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
+        for start in range(0, len(group), step):
+            index = group[start:start + step]
+            span = table.offsets[index][:, None] + cells
+            entries = np.zeros((len(index), m, m))
+            entries[:, rows, cols] = weights[span]
+            mask = np.zeros((len(index), m, m), dtype=bool)
+            mask[:, rows, cols] = supported[span]
+            for a in (index, entries, mask):
+                a.flags.writeable = False
+            batches.append((index, entries, mask))
+    return SupportBatches(table.types, table.type_of, tuple(batches))
+
+
+def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
+                          lam: float = 1.0) -> list[SupportMatrix]:
+    """All per-ranking support matrices, read off the set's pattern table.
+
+    Entrywise identical to running :func:`support_matrix_naive` for every
+    ranking. Duplicate rankings share one read-only ``entries`` and
+    ``supported`` array.
+    """
+    return support_batches(rset, q, gamma=gamma, lam=lam).matrices()
 
 
 def support_sets(matrices: list[SupportMatrix]) -> SupportSets:

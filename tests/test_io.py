@@ -227,6 +227,17 @@ def test_outlier_json_with_rescore(example_set):
     assert payload["rescored"]["n_rankings"] == 3
 
 
+def test_rescored_json_prints_the_surviving_indices(example_set):
+    params = ScoreParams(q=3)
+    out = detect_outliers(score(example_set, params))
+    assert out.flagged_indices == [2]
+    rescored = remove_and_rescore(example_set, [0], params)
+    assert rescored.original_indices == (1, 2, 3)
+    payload = json.loads(emit_report(out, rescored=rescored))
+    assert payload["rescored"]["original_indices"] == [1, 2, 3]
+    assert payload["rescored"]["n_rankings"] == 3
+
+
 def test_patterns_json(example_set):
     rep = score(example_set, ScoreParams(q=3))
     payload = json.loads(emit_patterns(rep))

@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ranking_sets_st
+from conftest import ranking_sets_st, rankings_st
 from rank_consensus import (
     ParameterError,
     Ranking,
@@ -17,7 +19,8 @@ from rank_consensus import (
     q_from_fraction,
     score,
 )
-from rank_consensus import model, scores
+from rank_consensus import model, scores, support
+from rank_consensus.support import support_matrices_fast
 
 
 def test_plain_scores_on_example(example_set):
@@ -113,6 +116,97 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
         assert rep.sets == real(list(rep.matrices))
         assert rep.sets is rep.sets
     assert len(calls) == 12
+
+
+@st.composite
+def voted_sets_st(draw):
+    """Votes drawn with repetition from a few distinct rankings, with ties,
+    truncation and one-item rankings."""
+    pool = draw(st.lists(rankings_st(), min_size=1, max_size=6))
+    return RankingSet(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12)))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 250])
+@settings(max_examples=40, deadline=None)
+@given(voted_sets_st(), st.sampled_from([0.3, 0.5, 0.9]), st.sampled_from([0.2, 0.7, 1.0]))
+@example(RankingSet([Ranking.strict(p) for p in ("abc", "acb", "bac", "bca", "cab", "cba")] * 2
+                    + [Ranking([["a", "b"], ["c"]]), Ranking.strict("ab"), Ranking.strict("c")]),
+         0.5, 0.7)
+def test_batched_kappas_equal_per_matrix_reductions(budget, rset, gamma, lam):
+    # budget 1 puts every distinct ranking in its own batch; 250 bytes hold
+    # three 3-item matrices but a single 4-item one
+    n = len(rset)
+    for q in range(1, n + 1):
+        for g, lm in ((1.0, 1.0), (gamma, lam)):
+            eager = support_matrices_fast(rset, q, gamma=g, lam=lm)
+            with pytest.MonkeyPatch.context() as mp:
+                if budget is not None:
+                    mp.setattr(support, "_BATCH_BYTES", budget)
+                rep = score(rset, ScoreParams(q=q, gamma=g, lam=lm))
+            kappa1, kappa2 = [], []
+            for mat, rs in zip(eager, rep.per_ranking):
+                e = np.array(mat.entries)
+                m = len(e)
+                n_pairs = m * (m - 1) // 2
+                trace = float(np.trace(e))
+                kappa1.append(trace / m)
+                kappa2.append((float(e.sum()) - trace) / n_pairs if n_pairs else 0.0)
+                assert (rs.index, rs.m, rs.n_pairs, rs.singleton) == (mat.owner, m, n_pairs,
+                                                                      not n_pairs)
+            # bit for bit: CSV prints repr(kappa)
+            assert [r.kappa1 for r in rep.per_ranking] == kappa1
+            assert [r.kappa2 for r in rep.per_ranking] == kappa2
+            assert rep.overall_kappa1 == math.fsum(kappa1) / n
+            assert rep.overall_kappa2 == math.fsum(kappa2) / n
+
+
+def test_per_vote_views_are_built_only_when_read(monkeypatch):
+    kinds = [Ranking([["a", "b"], ["c"]]), Ranking.strict("bcad"), Ranking.strict("d")]
+    rset = RankingSet([kinds[i % 7 % 3] for i in range(200)])
+    eager_matrices = support.support_matrices_fast
+    real_score = scores.RankingScore
+    matrix_calls, built = [], []
+
+    def counting_matrices(*args, **kwargs):
+        matrix_calls.append(1)
+        return eager_matrices(*args, **kwargs)
+
+    def counting_score(*args, **kwargs):
+        built.append(1)
+        return real_score(*args, **kwargs)
+
+    monkeypatch.setattr(support, "support_matrices_fast", counting_matrices)
+    monkeypatch.setattr(scores, "support_matrices_fast", counting_matrices)
+    monkeypatch.setattr(scores, "RankingScore", counting_score)
+    grid = [(q, base, base) for q in (1, 60, 120, 200) for base in (1.0, 0.7, 0.2)]
+    reports = [score(rset, ScoreParams(q=q, gamma=g, lam=lam)) for q, g, lam in grid]
+    assert len(reports) == 12
+    assert matrix_calls == [] and built == []
+
+    first = {r: rset.rankings.index(r) for r in kinds}
+    for (q, g, lam), rep in zip(grid, reports):
+        eager = eager_matrices(rset, q, gamma=g, lam=lam)
+        mats = rep.matrices
+        assert mats is rep.matrices
+        for l, (mat, want) in enumerate(zip(mats, eager)):
+            assert (mat.owner, mat.items) == (want.owner, want.items) == (l, rset[l].items)
+            assert np.array_equal(mat.entries, want.entries)
+            assert np.array_equal(mat.supported, want.supported)
+            k = first[rset[l]]
+            assert mat.entries is mats[k].entries and mat.supported is mats[k].supported
+            for a in (mat.entries, mat.supported):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0
+        built.clear()
+        per = rep.per_ranking
+        assert per is rep.per_ranking and len(built) == 200
+        for l, (rs, mat) in enumerate(zip(per, eager)):
+            m = mat.m
+            n_pairs = m * (m - 1) // 2
+            trace = float(np.trace(mat.entries))
+            kappa2 = (float(mat.entries.sum()) - trace) / n_pairs if n_pairs else 0.0
+            assert rs == real_score(l, m, n_pairs, trace / m, kappa2, not n_pairs)
+    assert matrix_calls == []  # the views read the batches the scores came from
 
 
 def test_invalid_params_rejected(example_set):
