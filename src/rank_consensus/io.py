@@ -42,9 +42,11 @@ _SPECIALS = ",{}"
 # most votes one preflib file may expand to. Scores and flags are held once
 # per distinct ranking, but a report still prints one row per vote and its
 # text is held twice while it is written. At 200 000 votes over the README's
-# 4 rankings at q = N/2, `score` peaks at 127 MB as CSV (7 MB of text) and
-# 458 MB as JSON (212 MB), `outliers --remove` at 127 and 303 MB (15 and
-# 121 MB), so the JSON of `score` would need about 2.3 GB at this cap
+# 4 rankings at q = N/2, `score` peaks at 79 MB as CSV (7 MB of text) and
+# `outliers --remove` at 101 MB (15 MB). As JSON they last measured 458 MB
+# (212 MB of text) and 303 MB (121 MB); the parse then took 95 MB more, but
+# freed it before the text was built. The JSON of `score` would so need
+# about 2.3 GB at this cap
 MAX_VOTES = 10**6
 
 

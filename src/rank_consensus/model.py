@@ -7,9 +7,12 @@ downstream formula treats incomplete rankings uniformly. All types are
 immutable after construction and safe to share across threads.
 
 A set counts its patterns once, on first use, and keeps the result as a
-:class:`PatternTable`: one vectorised pass over its distinct rankings gives
-every ordered pattern's support and position/gap total, laid out per
-distinct ranking in the cell order of its support matrix.
+:class:`PatternTable`: one vectorised pass per ranking length over its
+distinct rankings gives every ordered pattern's support and position/gap
+total, laid out per distinct ranking in the cell order of its support
+matrix. The table also keeps what every threshold and weight reads alike:
+the batch layout by length, and, once a weighted run asks, the distinct
+deviations and each weight base's weights of them.
 """
 from __future__ import annotations
 
@@ -109,8 +112,10 @@ class RankingSet:
         if not rs:
             raise ValueError("a ranking set needs at least one ranking")
         object.__setattr__(self, "rankings", rs)
+        # votes often share one Ranking object: read each object's items once
+        distinct = {id(r): r for r in rs}.values()
         object.__setattr__(
-            self, "universe", frozenset().union(*(r.item_set for r in rs))
+            self, "universe", frozenset().union(*(r.item_set for r in distinct))
         )
 
     def __len__(self) -> int:
@@ -158,7 +163,14 @@ class PatternTable:
     by its i-th and j-th items. Per entry, ``count`` is the pattern's
     support, ``total`` sums its position (``diag``) or its gap over the
     rankings that contain it, and ``value`` is the type's own position or
-    gap. All arrays are read-only.
+    gap.
+
+    ``by_length`` is the batch layout: per length ``m`` of the types,
+    ascending, ``(m, index, span)`` with the ``k`` types of that length in
+    first-appearance order and the ``(k, m(m+1)/2)`` entries they own; the
+    spans are views of one index array. ``deviations`` and ``weight_memo``
+    hold the deviation weights, computed on first use. All arrays are
+    read-only.
     """
 
     types: tuple[Ranking, ...]
@@ -168,52 +180,108 @@ class PatternTable:
     total: np.ndarray
     value: np.ndarray
     diag: np.ndarray
+    by_length: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    # weight base -> weight of each distinct deviation, filled by support.py;
+    # threads racing on one base only compute equal arrays twice
+    weight_memo: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def deviations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct deviations ``|value - total/count|`` of the entries,
+        ascending, and the index of each entry's deviation among them."""
+        deviation = np.abs(self.value * self.count - self.total) / self.count  # exact numerator
+        unique, inverse = np.unique(deviation, return_inverse=True)
+        for a in (unique, inverse):
+            a.flags.writeable = False
+        return unique, inverse
+
+
+# count with a dense np.bincount over every key id(x)*U + id(y) while there
+# are at most this many possible keys per key counted, and over the keys'
+# ranks from np.unique otherwise, whose sort a sparse key space needs. The
+# whole count of sweep (900 possible keys, 223 431 entries) takes 21 ms
+# instead of 31, of retrieval (303 601 and 252 500) 17 ms instead of 28
+_DENSE_KEYS = 2
+# most cells one step of the count gathers at once: each temporary array is
+# then at most 256 KB, where a whole length at once (fifty 100-item lists)
+# peaked 5.6 MB higher
+_COUNT_CELLS = 1 << 15
 
 
 def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
-    """One vectorised pass over each distinct ranking's own ordered patterns.
+    """One vectorised pass per ranking length over the distinct rankings.
 
     A ranking contains ``x y`` when ``0 < pos(x) <= pos(y)``: its own
     lower-triangle cells, plus the reverse of every tied pair, and ``x x``
-    is membership. The keys of all distinct rankings go through one
-    ``np.unique``; two ``np.bincount`` calls weighted by multiplicity give
-    the counts and totals. Float weights stay exact while the sums are
-    below 2**53, far above any vote total the parsers accept.
+    is membership. The distinct rankings of one length ``m`` give their
+    keys, positions and gaps as ``(k, m(m+1)/2)`` arrays taken over
+    ``lower_triangle(m)``, a few rankings at a time, and write them straight
+    into the per-type layout. Two ``np.bincount`` calls weighted by
+    multiplicity give the counts and totals. Float weights stay exact while
+    the sums are below 2**53, far above any vote total the parsers accept.
     """
+    rankings = tuple(rankings)  # keeps every vote alive while its id is a key
     index: dict[Ranking, int] = {}
-    type_of = tuple(index.setdefault(r, len(index)) for r in rankings)
+    by_id: dict[int, int] = {}  # votes sharing one object are hashed once
+    for r in rankings:
+        if id(r) not in by_id:
+            by_id[id(r)] = index.setdefault(r, len(index))
+    type_of = tuple([by_id[id(r)] for r in rankings])
     types = tuple(index)
     times = np.bincount(type_of).astype(float)
-    ids = {x: i for i, x in enumerate(sorted(frozenset().union(*(r.item_set for r in types))))}
+    ids = {x: i for i, x in enumerate(sorted(set().union(*(r._positions for r in types))))}
     u = len(ids)
-    own, tied, values, diags = [], [], [], []
-    for r in types:
-        rows, cols = lower_triangle(len(r))
-        item = np.array([ids[x] for x in r._positions], dtype=np.int64)
-        pos = np.array(list(r._positions.values()), dtype=np.int64)
-        gap = pos[rows] - pos[cols]
-        diag = rows == cols
-        tie = (gap == 0) & ~diag
-        own.append(item[cols] * u + item[rows])
-        tied.append(item[rows[tie]] * u + item[cols[tie]])
-        values.append(np.where(diag, pos[rows], gap))
-        diags.append(diag)
-    sizes = [len(k) for k in own]
-    n_own = sum(sizes)
-    weight = np.concatenate((np.repeat(times, sizes), np.repeat(times, [len(k) for k in tied])))
-    keys, inverse = np.unique(np.concatenate(own + tied), return_inverse=True)
-    del own, tied
-    value = np.concatenate(values)
-    entry = inverse[:n_own]  # the pattern of each own cell
-    counts = np.bincount(inverse, weights=weight).astype(np.int64)
-    totals = np.bincount(entry, weights=weight[:n_own] * value,
-                         minlength=len(keys)).astype(np.int64)
-    arrays = dict(
-        offsets=np.cumsum([0] + sizes),
-        count=counts[entry], total=totals[entry], value=value,
-        diag=np.concatenate(diags),
-    )
-    for a in arrays.values():
+    lengths = [len(r) for r in types]
+    groups: dict[int, list[int]] = {}
+    for t, m in enumerate(lengths):
+        groups.setdefault(m, []).append(t)
+    offsets = np.zeros(len(types) + 1, dtype=np.int64)
+    np.cumsum([m * (m + 1) // 2 for m in lengths], out=offsets[1:])
+    n_own = int(offsets[-1])
+    keys = np.empty(n_own, dtype=np.int64)
+    value = np.empty(n_own, dtype=np.int64)
+    diag = np.empty(n_own, dtype=bool)
+    order = np.empty(n_own, dtype=np.int64)  # the entries, length by length
+    by_length, ties, start = [], [], 0
+    for m, group in sorted(groups.items()):
+        rows, cols = lower_triangle(m)
+        on_diag = rows == cols
+        group = np.array(group)
+        spans = order[start:start + len(group) * len(rows)].reshape(len(group), len(rows))
+        np.add(offsets[group][:, None], np.arange(len(rows)), out=spans)
+        by_length.append((m, group, spans))
+        start += spans.size
+        step = max(1, _COUNT_CELLS // len(rows))
+        for i in range(0, len(group), step):
+            part, span = group[i:i + step], spans[i:i + step]
+            members = [types[t]._positions for t in part.tolist()]
+            item = np.array([ids[x] for p in members for x in p], dtype=np.int64).reshape(-1, m)
+            pos = np.array([v for p in members for v in p.values()], dtype=np.int64).reshape(-1, m)
+            at = pos.take(rows, axis=1)  # several times faster than pos[:, rows]
+            gap = at - pos.take(cols, axis=1)
+            keys[span] = item.take(cols, axis=1) * u + item.take(rows, axis=1)
+            value[span] = np.where(on_diag, at, gap)
+            diag[span] = on_diag
+            k, cell = np.nonzero((gap == 0) & ~on_diag)
+            ties.append((item[k, rows[cell]] * u + item[k, cols[cell]], times[part[k]]))
+    tied_keys = np.concatenate([key for key, _ in ties])
+    tied_weight = np.concatenate([w for _, w in ties])
+    weight = np.repeat(times, np.diff(offsets))
+    if u * u <= _DENSE_KEYS * (n_own + len(tied_keys)):
+        own, tied, n_slots = keys, tied_keys, u * u
+    else:
+        unique, inverse = np.unique(np.concatenate((keys, tied_keys)), return_inverse=True)
+        own, tied, n_slots = inverse[:n_own], inverse[n_own:], len(unique)
+    counts = np.bincount(own, weights=weight, minlength=n_slots)
+    counts += np.bincount(tied, weights=tied_weight, minlength=n_slots)
+    count = counts[own].astype(np.int64)
+    del counts  # each array the size of the table goes before the next is made
+    weight *= value
+    totals = np.bincount(own, weights=weight, minlength=n_slots)
+    del weight
+    total = totals[own].astype(np.int64)
+    for a in (offsets, count, total, value, diag, order):
         a.flags.writeable = False
-    return PatternTable(types=types, type_of=type_of, **arrays)
-
+    for _, group, spans in by_length:
+        group.flags.writeable = spans.flags.writeable = False
+    return PatternTable(types, type_of, offsets, count, total, value, diag, tuple(by_length))

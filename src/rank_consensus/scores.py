@@ -10,9 +10,13 @@ placement, so the scores reward agreement *and* proximity.
 
 Scores are reduced from the support matrices batched by ranking length:
 each distinct ranking is scored once, by ``np.trace`` and a sum over its
-matrix in the batch, and a report keeps those per-type scores. The per-vote
-rows, the per-vote matrices and the supported-pattern sets are views built
-only when first read.
+matrix in the batch, and a report keeps those per-type scores. Everything
+that depends on the set alone (counts, batch layout, deviation weights) is
+kept with the set, so scoring one set at many grid points, as ``sweep``
+does, pays per point only for thresholding, weighting, filling and
+reducing. The per-vote rows, the per-vote matrices with their bool
+``supported`` masks and the supported-pattern sets are views built only
+when first read.
 """
 from __future__ import annotations
 
@@ -202,7 +206,7 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
     support = support_batches(rset, params.q, gamma=params.gamma, lam=params.lam)
     kappa1 = np.empty(len(support.types))
     kappa2 = np.zeros(len(support.types))  # 0 by convention without pairs
-    for index, entries, _ in support.batches:
+    for index, _, entries in support.batches:
         m = entries.shape[1]
         n_pairs = m * (m - 1) // 2
         trace = np.trace(entries, axis1=1, axis2=2)

@@ -13,10 +13,13 @@ Two construction routes are provided on purpose: :func:`support_matrix_naive`
 rescans the whole set for every entry and is the reference oracle, while
 :func:`support_batches` thresholds and weights the entries of the set's
 pattern table (:attr:`RankingSet.pattern_stats`) in whole-array operations
-and fills one read-only ``(k, m, m)`` batch per length ``m`` of the set's
-distinct rankings. They must agree entrywise. Scores reduce the batches
-directly; :func:`support_matrices_fast` and a report's ``matrices`` are
-per-vote views of them, in which duplicate rankings share one matrix.
+and fills one read-only ``(k, m, m)`` float batch per length ``m`` of the
+set's distinct rankings. They must agree entrywise. The table already holds
+the batch layout and the deviation weights, so a call only thresholds,
+gathers weights and fills. Scores reduce the batches directly;
+:func:`support_matrices_fast` and a report's ``matrices`` are per-vote views
+of them, in which duplicate rankings share one matrix, and only those views
+fill the bool ``supported`` matrices.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import Ranking, RankingSet, lower_triangle
+from .model import PatternTable, Ranking, RankingSet, lower_triangle
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,15 +148,19 @@ def support_matrix_naive(l: int, rset: RankingSet, q: int,
     return SupportMatrix(owner=l, items=items, entries=entries, supported=mask)
 
 
-def _weights(base: float, value: np.ndarray, total: np.ndarray,
-             count: np.ndarray) -> np.ndarray:
-    """``_weight`` of every entry's deviation, evaluated once per distinct one."""
-    deviation = np.abs(value * count - total) / count  # exact integer numerator
-    unique, inverse = np.unique(deviation, return_inverse=True)
-    return np.array([_weight(base, d) for d in unique.tolist()])[inverse]
+def _deviation_weights(table: PatternTable, base: float) -> np.ndarray:
+    """``_weight`` of each distinct deviation of the table's entries; every
+    one is exponentiated once per base per table."""
+    weights = table.weight_memo.get(base)
+    if weights is None:
+        weights = np.array([_weight(base, d) for d in table.deviations[0].tolist()])
+        weights.flags.writeable = False
+        table.weight_memo[base] = weights
+    return weights
 
 
-# most bytes the float and bool matrices of one batch may take. The distinct
+# most bytes the float matrices of one batch, and the bool ones once a view
+# fills them, may take. Read at every call, not kept with the set. The distinct
 # rankings of one length that need more are split over several batches, which
 # bounds the index arrays that fill a batch: with 16 MB batches, fifty
 # 100-item lists peaked 2.2 MB higher than with one matrix at a time
@@ -164,21 +171,29 @@ _BATCH_BYTES = 1 << 18
 class SupportBatches:
     """The support matrices of a set's distinct rankings, batched by length.
 
-    Each batch is ``(index, entries, supported)``: the type indices of ``k``
-    distinct rankings of one length ``m`` and their read-only ``(k, m, m)``
-    matrices. ``types`` and ``type_of`` are the set's pattern table's.
+    Each batch is ``(index, span, entries)``: the type indices of ``k``
+    distinct rankings of one length ``m``, the ``(k, m(m+1)/2)`` pattern
+    table entries they own, and their read-only ``(k, m, m)`` weight
+    matrices. ``supported`` says which table entries reach the threshold;
+    the bool matrices are filled from it only when :meth:`matrices` is
+    called. ``types`` and ``type_of`` are the set's pattern table's.
     """
 
     types: tuple[Ranking, ...]
     type_of: tuple[int, ...]
+    supported: np.ndarray
     batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def matrices(self) -> list[SupportMatrix]:
         """One matrix per vote; the votes of one distinct ranking share its
         read-only views into the batches."""
         shared: list[tuple] = [()] * len(self.types)
-        for index, entries, supported in self.batches:
-            for t, e, s in zip(index.tolist(), entries, supported):
+        for index, span, entries in self.batches:
+            rows, cols = lower_triangle(entries.shape[1])
+            mask = np.zeros(entries.shape, dtype=bool)
+            mask[:, rows, cols] = self.supported[span]
+            mask.flags.writeable = False
+            for t, e, s in zip(index.tolist(), entries, mask):
                 shared[t] = (self.types[t].items, e, s)
         return [SupportMatrix(l, *shared[t]) for l, t in enumerate(self.type_of)]
 
@@ -187,37 +202,32 @@ def support_batches(rset: RankingSet, q: int, *, gamma: float = 1.0,
                     lam: float = 1.0) -> SupportBatches:
     """Every distinct ranking's support matrix, read off the set's pattern table.
 
-    All entries are thresholded and weighted at once; each batch is then
-    filled by fancy indexing from the entries of its rankings.
+    The table holds everything that depends on the set alone: the counts,
+    the batch layout and the deviation weights. A call thresholds all
+    entries at once, picks their weights, and fills each batch's float
+    matrices by fancy indexing; batches split under ``_BATCH_BYTES`` as it
+    is at the time of the call.
     """
     _check_params(rset, q, gamma, lam)
     table = rset.pattern_stats
     supported = table.count >= q
+    supported.flags.writeable = False
     weights = supported.astype(float)
     for base, kind in ((gamma, table.diag), (lam, ~table.diag)):
         if base != 1.0:
-            sel = supported & kind
-            weights[sel] = _weights(base, table.value[sel], table.total[sel], table.count[sel])
-    groups: dict[int, list[int]] = {}
-    for t, ranking in enumerate(table.types):
-        groups.setdefault(len(ranking), []).append(t)
+            np.copyto(weights, _deviation_weights(table, base)[table.deviations[1]],
+                      where=supported & kind)
     batches = []
-    for m, group in sorted(groups.items()):
+    for m, group, spans in table.by_length:
         rows, cols = lower_triangle(m)
-        cells = np.arange(len(rows))
-        group = np.array(group)
         step = max(1, _BATCH_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
         for start in range(0, len(group), step):
-            index = group[start:start + step]
-            span = table.offsets[index][:, None] + cells
-            entries = np.zeros((len(index), m, m))
+            span = spans[start:start + step]
+            entries = np.zeros((len(span), m, m))
             entries[:, rows, cols] = weights[span]
-            mask = np.zeros((len(index), m, m), dtype=bool)
-            mask[:, rows, cols] = supported[span]
-            for a in (index, entries, mask):
-                a.flags.writeable = False
-            batches.append((index, entries, mask))
-    return SupportBatches(table.types, table.type_of, tuple(batches))
+            entries.flags.writeable = False
+            batches.append((group[start:start + step], span, entries))
+    return SupportBatches(table.types, table.type_of, supported, tuple(batches))
 
 
 def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,

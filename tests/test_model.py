@@ -2,10 +2,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rankings_st
-from rank_consensus import Ranking, RankingSet
+from conftest import TOKENS, rankings_st
+from rank_consensus import Ranking, RankingSet, model
+from rank_consensus.model import lower_triangle
 
 
 def test_positions_are_block_indices():
@@ -142,3 +144,110 @@ def test_ranking_set_pickles_after_counting(example_set):
     assert (counted.types, counted.type_of) == (stats.types, stats.type_of)
     for name in ("offsets", "count", "total", "value", "diag"):
         assert np.array_equal(getattr(counted, name), getattr(stats, name))
+
+
+def test_universe_reads_each_distinct_ranking_once(monkeypatch):
+    reads = []
+    real = Ranking.item_set
+
+    def counting(self):
+        reads.append(id(self))
+        return real.fget(self)
+
+    monkeypatch.setattr(Ranking, "item_set", property(counting))
+    kinds = [Ranking.strict("abc"), Ranking([["b", "c"], ["d"]]), Ranking.strict("e"),
+             Ranking.strict("abc")]  # equal to the first, but another object
+    rs = RankingSet([kinds[i % 7 % 4] for i in range(20_000)])
+    rs.pattern_stats
+    assert rs.universe == frozenset("abcde")
+    assert sorted(reads) == sorted(set(reads))
+    assert set(reads) <= {id(r) for r in kinds}
+
+
+# --- the per-ranking counting pass this one replaced, kept as a reference ---
+
+def reference_count_patterns(rankings):
+    """The earlier count: one loop step per distinct ranking, one
+    ``np.unique`` over every key. Returns the per-type layout as a dict."""
+    index = {}
+    type_of = tuple(index.setdefault(r, len(index)) for r in rankings)
+    types = tuple(index)
+    times = np.bincount(type_of).astype(float)
+    ids = {x: i for i, x in enumerate(sorted(frozenset().union(*(r.item_set for r in types))))}
+    u = len(ids)
+    own, tied, values, diags = [], [], [], []
+    for r in types:
+        rows, cols = lower_triangle(len(r))
+        item = np.array([ids[x] for x in r._positions], dtype=np.int64)
+        pos = np.array(list(r._positions.values()), dtype=np.int64)
+        gap = pos[rows] - pos[cols]
+        diag = rows == cols
+        tie = (gap == 0) & ~diag
+        own.append(item[cols] * u + item[rows])
+        tied.append(item[rows[tie]] * u + item[cols[tie]])
+        values.append(np.where(diag, pos[rows], gap))
+        diags.append(diag)
+    sizes = [len(k) for k in own]
+    n_own = sum(sizes)
+    weight = np.concatenate((np.repeat(times, sizes), np.repeat(times, [len(k) for k in tied])))
+    keys, inverse = np.unique(np.concatenate(own + tied), return_inverse=True)
+    del own, tied
+    value = np.concatenate(values)
+    entry = inverse[:n_own]  # the pattern of each own cell
+    counts = np.bincount(inverse, weights=weight).astype(np.int64)
+    totals = np.bincount(entry, weights=weight[:n_own] * value,
+                         minlength=len(keys)).astype(np.int64)
+    return dict(
+        types=types, type_of=type_of,
+        offsets=np.cumsum([0] + sizes),
+        count=counts[entry], total=totals[entry], value=value,
+        diag=np.concatenate(diags),
+    )
+
+
+WIDE = [f"item{i}" for i in range(60)]
+
+
+@st.composite
+def voted_rankings_st(draw):
+    """Votes drawn with repetition from a few distinct rankings, with ties,
+    truncation and one-item rankings; sometimes over a universe so large
+    that most possible keys never occur."""
+    sparse = draw(st.booleans())
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        universe = TOKENS
+        if sparse:  # a few of 60 items per ranking
+            universe = draw(st.lists(st.sampled_from(WIDE), min_size=1, max_size=5, unique=True))
+        pool.append(draw(rankings_st(universe=universe)))
+    votes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    # equal votes as separate objects too, not only as one shared object
+    return [Ranking(r.blocks) if draw(st.booleans()) else r for r in votes]
+
+
+@pytest.mark.parametrize("route", ["default", "dense", "unique"])
+@settings(max_examples=80, deadline=None)
+@given(voted_rankings_st())
+def test_count_patterns_equals_the_per_ranking_reference(route, votes):
+    want = reference_count_patterns(votes)
+    with pytest.MonkeyPatch.context() as mp:
+        if route != "default":
+            mp.setattr(model, "_DENSE_KEYS", 10**9 if route == "dense" else 0)
+        table = model.count_patterns(votes)
+    assert table.types == want["types"]
+    assert table.type_of == want["type_of"]
+    for name in ("offsets", "count", "total", "value", "diag"):
+        got = getattr(table, name)
+        assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+        assert not got.flags.writeable
+    # the batch layout lists every type once, lengths ascending
+    lengths = [m for m, _, _ in table.by_length]
+    assert lengths == sorted(set(lengths))
+    seen = []
+    for m, group, span in table.by_length:
+        assert group.tolist() == sorted(group.tolist())
+        assert all(len(table.types[t]) == m for t in group.tolist())
+        assert np.array_equal(span, table.offsets[group][:, None] + np.arange(m * (m + 1) // 2))
+        assert not group.flags.writeable and not span.flags.writeable
+        seen += group.tolist()
+    assert sorted(seen) == list(range(len(table.types)))

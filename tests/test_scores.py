@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ranking_sets_st, rankings_st
+from conftest import random_ranking, ranking_sets_st, rankings_st
 from rank_consensus import (
     ParameterError,
     Ranking,
@@ -207,6 +208,41 @@ def test_per_vote_views_are_built_only_when_read(monkeypatch):
             kappa2 = (float(mat.entries.sum()) - trace) / n_pairs if n_pairs else 0.0
             assert rs == real_score(l, m, n_pairs, trace / m, kappa2, not n_pairs)
     assert matrix_calls == []  # the views read the batches the scores came from
+
+
+def test_cached_state_cannot_change_results():
+    rng = random.Random(8)
+    rankings = [random_ranking(rng, allow_ties=True) for _ in range(9)]
+    rankings = [rankings[rng.randrange(9)] for _ in range(40)]
+    grid = [(q, g, lam) for q in (1, 8, 20, 40)
+            for g, lam in ((1.0, 1.0), (0.5, 1.0), (0.7, 0.3))]
+    rset = RankingSet(rankings)
+    runs = []
+    for seed in (1, 2):
+        order = grid[:]
+        random.Random(seed).shuffle(order)
+        runs.append({p: score(rset, ScoreParams(*p)) for p in order})
+    runs.append({p: score(RankingSet(rankings), ScoreParams(*p)) for p in grid})
+    assert list(runs[0]) != list(runs[1])
+    for p in grid:
+        first = runs[0][p]
+        for rep in (run[p] for run in runs[1:]):
+            # bit for bit: CSV prints repr(kappa)
+            assert rep.kappa1.tobytes() == first.kappa1.tobytes()
+            assert rep.kappa2.tobytes() == first.kappa2.tobytes()
+            assert (rep.overall_kappa1, rep.overall_kappa2) == (first.overall_kappa1,
+                                                                first.overall_kappa2)
+    table = rset.pattern_stats
+    assert sorted(table.weight_memo) == [0.3, 0.5, 0.7]
+    cached = [table.offsets, table.count, table.total, table.value, table.diag,
+              *table.deviations, *table.weight_memo.values()]
+    cached += [a for _, group, span in table.by_length for a in (group, span)]
+    for rep in runs[0].values():
+        cached += [rep.kappa1, rep.kappa2, rep.support.supported]
+        cached += [a for batch in rep.support.batches for a in batch]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
 
 
 def test_invalid_params_rejected(example_set):
