@@ -162,8 +162,20 @@ def _run(args: argparse.Namespace) -> str:
     return emit_report(averages, args.out_format)
 
 
+def _reject_separator_values(argv: list[str]) -> None:
+    """Raise for an option written ``--name=--``: argparse stores ``[]`` for
+    it without calling the option's type or checking its choices."""
+    for token in argv:
+        if token == "--":
+            return  # the rest is positional
+        flag, _, value = token.partition("=")
+        if flag.startswith("--") and value == "--":
+            raise ParameterError(f"{flag} needs a value, got '--'")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -171,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         # into the parameter-error code
         return 0 if exc.code in (0, None) else 1
     try:
+        _reject_separator_values(argv)
         out = _run(args)
     except (ConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,13 +10,14 @@ placement, so the scores reward agreement *and* proximity.
 
 Scores are reduced from the support matrices batched by ranking length:
 each distinct ranking is scored once, by ``np.trace`` and a sum over its
-matrix in the batch, and a report keeps those per-type scores. Everything
-that depends on the set alone (counts, batch layout, deviation weights) is
-kept with the set, so scoring one set at many grid points, as ``sweep``
-does, pays per point only for thresholding, weighting, filling and
-reducing. The per-vote rows, the per-vote matrices with their bool
-``supported`` masks and the supported-pattern sets are views built only
-when first read.
+matrix in a batch that is dropped once reduced, and a report keeps those
+per-type scores. Everything that depends on the set alone (counts, batch
+layout, deviation weights) is kept with the set, so scoring one set at many
+grid points, as ``sweep`` does, pays per point only for thresholding,
+weighting, filling and reducing, and a kept report holds no array the size
+of the set's pattern table. The batches, the per-vote rows, the per-vote
+matrices with their bool ``supported`` masks and the supported-pattern sets
+are built only when first read.
 """
 from __future__ import annotations
 
@@ -150,13 +151,15 @@ class ConsensusReport:
     """Everything a scoring run produced, in one place.
 
     Scores are held once per distinct ranking: ``kappa1``/``kappa2`` are
-    indexed by type, and ``type_of[l]`` is the type of vote ``l``. The
-    per-vote views (``per_ranking``, ``matrices``) and the supported-pattern
-    ``sets`` are built the first time they are read, so runs whose output
-    never prints them do not pay for them. ``original_indices`` records, for
-    a report of :func:`~rank_consensus.outliers.remove_and_rescore`, the
-    index in the original set of each vote it scored; it is ``None`` for a
-    report of a whole set.
+    indexed by type, and ``type_of[l]`` is the type of vote ``l``.
+    ``support`` holds the set's pattern table and the parameters; its
+    batches, the per-vote views (``per_ranking``, ``matrices``) and the
+    supported-pattern ``sets`` are built the first time they are read, so
+    runs whose output never prints them neither pay for them nor keep them.
+    ``original_indices`` records, for a report of
+    :func:`~rank_consensus.outliers.remove_and_rescore`, the index in the
+    original set of each vote it scored; it is ``None`` for a report of a
+    whole set.
     """
 
     params: ScoreParams
@@ -200,13 +203,14 @@ class ConsensusReport:
 def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
     """Score every ranking in the set and average.
 
-    Each distinct ranking is scored once, from its length's batch of
-    matrices; the averages sum every vote's scores with ``math.fsum``.
+    Each distinct ranking is scored once, from a batch of matrices of its
+    length; batches are filled one at a time and dropped once reduced. The
+    averages sum every vote's scores with ``math.fsum``.
     """
     support = support_batches(rset, params.q, gamma=params.gamma, lam=params.lam)
     kappa1 = np.empty(len(support.types))
     kappa2 = np.zeros(len(support.types))  # 0 by convention without pairs
-    for index, _, entries in support.batches:
+    for index, _, entries in support.fill():
         m = entries.shape[1]
         n_pairs = m * (m - 1) // 2
         trace = np.trace(entries, axis1=1, axis2=2)

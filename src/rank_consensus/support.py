@@ -13,18 +13,22 @@ Two construction routes are provided on purpose: :func:`support_matrix_naive`
 rescans the whole set for every entry and is the reference oracle, while
 :func:`support_batches` thresholds and weights the entries of the set's
 pattern table (:attr:`RankingSet.pattern_stats`) in whole-array operations
-and fills one read-only ``(k, m, m)`` float batch per length ``m`` of the
+and fills read-only ``(k, m, m)`` float batches per length ``m`` of the
 set's distinct rankings. They must agree entrywise. The table already holds
-the batch layout and the deviation weights, so a call only thresholds,
-gathers weights and fills. Scores reduce the batches directly;
-:func:`support_matrices_fast` and a report's ``matrices`` are per-vote views
-of them, in which duplicate rankings share one matrix, and only those views
-fill the bool ``supported`` matrices.
+the batch layout and the deviation weights, so filling only thresholds,
+gathers weights and fills, and a :class:`SupportBatches` keeps nothing but
+the table and the parameters until its batches are read. Scores reduce each
+batch as it is filled and drop it; :func:`support_matrices_fast` and a
+report's ``matrices`` are per-vote views of kept batches, in which duplicate
+rankings share one matrix, and only those views fill the bool ``supported``
+matrices.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -160,10 +164,11 @@ def _deviation_weights(table: PatternTable, base: float) -> np.ndarray:
 
 
 # most bytes the float matrices of one batch, and the bool ones once a view
-# fills them, may take. Read at every call, not kept with the set. The distinct
-# rankings of one length that need more are split over several batches, which
-# bounds the index arrays that fill a batch: with 16 MB batches, fifty
-# 100-item lists peaked 2.2 MB higher than with one matrix at a time
+# fills them, may take. Read whenever batches are filled, not kept with the
+# set. The distinct rankings of one length that need more are split over
+# several batches, which bounds the index arrays that fill a batch: with 16 MB
+# batches, fifty 100-item lists peaked 2.2 MB higher than with one matrix at a
+# time
 _BATCH_BYTES = 1 << 18
 
 
@@ -171,18 +176,68 @@ _BATCH_BYTES = 1 << 18
 class SupportBatches:
     """The support matrices of a set's distinct rankings, batched by length.
 
-    Each batch is ``(index, span, entries)``: the type indices of ``k``
-    distinct rankings of one length ``m``, the ``(k, m(m+1)/2)`` pattern
-    table entries they own, and their read-only ``(k, m, m)`` weight
-    matrices. ``supported`` says which table entries reach the threshold;
-    the bool matrices are filled from it only when :meth:`matrices` is
-    called. ``types`` and ``type_of`` are the set's pattern table's.
+    Only the set's pattern table and the parameters are kept. Each batch is
+    ``(index, span, entries)``: the type indices of ``k`` distinct rankings
+    of one length ``m``, the ``(k, m(m+1)/2)`` pattern table entries they
+    own, and their read-only ``(k, m, m)`` weight matrices. :meth:`fill`
+    yields fresh batches one at a time, for a reader that drops each one;
+    ``batches`` keeps them and ``supported`` says which table entries reach
+    the threshold. Both are filled from the table on first read, so they
+    equal what any earlier :meth:`fill` yielded; the bool matrices are
+    filled from ``supported`` only when :meth:`matrices` is called.
     """
 
-    types: tuple[Ranking, ...]
-    type_of: tuple[int, ...]
-    supported: np.ndarray
-    batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    table: PatternTable
+    q: int
+    gamma: float
+    lam: float
+
+    @property
+    def types(self) -> tuple[Ranking, ...]:
+        return self.table.types
+
+    @property
+    def type_of(self) -> tuple[int, ...]:
+        return self.table.type_of
+
+    @cached_property
+    def supported(self) -> np.ndarray:
+        supported = self.table.count >= self.q
+        supported.flags.writeable = False
+        return supported
+
+    @cached_property
+    def batches(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        return tuple(self.fill())
+
+    def fill(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Threshold all entries at once, pick their weights, and fill each
+        batch's float matrices by fancy indexing; batches split under
+        ``_BATCH_BYTES`` as it is when this is called."""
+        table = self.table
+        if (self.gamma, self.lam) == (1.0, 1.0):
+            weights = (table.count >= self.q).astype(float)
+        else:
+            # one entry-sized array per call: with a second float array, or
+            # np.take's int64 copy of the index, sweep faulted ~600 pages back
+            # in per call and its 12 calls took ~50 ms in process, not ~35.
+            # The first weighted call ranks the deviations before making it
+            index = table.deviations[1]
+            weights = (np.ones(len(index)) if self.lam == 1.0
+                       else _deviation_weights(table, self.lam)[index])
+            diag = table.diag
+            weights[diag] = (1.0 if self.gamma == 1.0
+                             else _deviation_weights(table, self.gamma)[index[diag]])
+            weights *= table.count >= self.q  # w * 1.0 is w, and unsupported is 0.0
+        for m, group, spans in table.by_length:
+            rows, cols = lower_triangle(m)
+            step = max(1, _BATCH_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
+            for start in range(0, len(group), step):
+                span = spans[start:start + step]
+                entries = np.zeros((len(span), m, m))
+                entries[:, rows, cols] = weights[span]
+                entries.flags.writeable = False
+                yield group[start:start + step], span, entries
 
     def matrices(self) -> list[SupportMatrix]:
         """One matrix per vote; the votes of one distinct ranking share its
@@ -203,31 +258,11 @@ def support_batches(rset: RankingSet, q: int, *, gamma: float = 1.0,
     """Every distinct ranking's support matrix, read off the set's pattern table.
 
     The table holds everything that depends on the set alone: the counts,
-    the batch layout and the deviation weights. A call thresholds all
-    entries at once, picks their weights, and fills each batch's float
-    matrices by fancy indexing; batches split under ``_BATCH_BYTES`` as it
-    is at the time of the call.
+    the batch layout and the deviation weights. This validates the
+    parameters and fills nothing; the batches are filled when read.
     """
     _check_params(rset, q, gamma, lam)
-    table = rset.pattern_stats
-    supported = table.count >= q
-    supported.flags.writeable = False
-    weights = supported.astype(float)
-    for base, kind in ((gamma, table.diag), (lam, ~table.diag)):
-        if base != 1.0:
-            np.copyto(weights, _deviation_weights(table, base)[table.deviations[1]],
-                      where=supported & kind)
-    batches = []
-    for m, group, spans in table.by_length:
-        rows, cols = lower_triangle(m)
-        step = max(1, _BATCH_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
-        for start in range(0, len(group), step):
-            span = spans[start:start + step]
-            entries = np.zeros((len(span), m, m))
-            entries[:, rows, cols] = weights[span]
-            entries.flags.writeable = False
-            batches.append((group[start:start + step], span, entries))
-    return SupportBatches(table.types, table.type_of, supported, tuple(batches))
+    return SupportBatches(rset.pattern_stats, q, gamma, lam)
 
 
 def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,

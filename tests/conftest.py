@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -65,3 +68,21 @@ def ranking_sets_st(draw, min_n=2, max_n=5, universe=TOKENS,
         draw(rankings_st(universe=universe, min_size=min_size, allow_ties=allow_ties))
         for _ in range(n)
     ])
+
+
+def _load_workloads():
+    name = "bench_workloads"
+    if name not in sys.modules:  # its dataclass looks itself up there
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def bench_votes(name: str, seed: int = 1, **shrink) -> list[Ranking]:
+    """The votes drawn by a generator of ``perfbench/workloads.py``, with
+    smaller sizes: ``bench_votes("sweep_rankings", n=60)`` is the sweep
+    workload's shape at 60 lists."""
+    generate = getattr(_load_workloads(), name)
+    return [Ranking(blocks) for blocks in generate(random.Random(seed), **shrink)]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rank_consensus import cli
@@ -313,6 +314,11 @@ threshold_text = st.one_of(
     ("score", "--q-frac"), ("score", "--gamma"), ("outliers", "--lambda"),
     ("sweep", "--q-fracs"), ("sweep", "--gammas"),
 ]))
+@example(text="--", flag=("score", "--q-frac"))
+@example(text="--", flag=("score", "--gamma"))
+@example(text="--", flag=("outliers", "--lambda"))
+@example(text="--", flag=("sweep", "--q-fracs"))
+@example(text="--", flag=("sweep", "--gammas"))
 def test_any_parameter_text_exits_zero_or_one(workdir, text, flag):
     path = workdir / "rankings.txt"
     path.write_text("a,b,c\nb,a,c\na,c\n")
@@ -324,6 +330,25 @@ def test_any_parameter_text_exits_zero_or_one(workdir, text, flag):
         assert err
     else:
         assert out and err == ""
+
+
+def value_options():
+    """``(subcommand, flag)`` of every option that takes a value."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[-1])
+            for command, parser in sub.choices.items()
+            for action in parser._actions
+            if action.option_strings and action.nargs is None]
+
+
+@pytest.mark.parametrize("command, flag", value_options())
+def test_separator_as_an_option_value_exits_one_naming_the_flag(example_file, capsys,
+                                                                 command, flag):
+    # argparse stores [] for "--flag=--" and never calls the option's type
+    code, out, err = run(capsys, command, example_file, f"{flag}=--")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} needs a value, got '--'\n"
 
 
 def test_unexpected_failure_exits_two(example_file, capsys, monkeypatch):

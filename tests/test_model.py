@@ -1,11 +1,12 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOKENS, rankings_st
+from conftest import TOKENS, bench_votes, rankings_st
 from rank_consensus import Ranking, RankingSet, model
 from rank_consensus.model import lower_triangle
 
@@ -251,3 +252,77 @@ def test_count_patterns_equals_the_per_ranking_reference(route, votes):
         assert not group.flags.writeable and not span.flags.writeable
         seen += group.tolist()
     assert sorted(seen) == list(range(len(table.types)))
+
+
+# --- the rank helper and the memory of counting -------------------------------
+
+def deviations_st():
+    """Float deviations ``|v*c - t|/c`` as a table holds them, with ties."""
+    return st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 9)).map(
+        lambda vc: abs(vc[0]) / vc[1]), min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    deviations_st().map(lambda xs: np.array(xs, dtype=float)),
+    st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=60).map(
+        lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.integers(0, 5), min_size=1, max_size=60).map(
+        lambda xs: np.array(xs, dtype=np.int64) * 900 + 7),
+))
+@example(np.array([0.5]))
+@example(np.array([3, 3, 3, 3], dtype=np.int64))
+@example(np.array([1 / 3, 0.0, 1 / 3, 2.0, 0.0]))
+def test_unique_inverse_equals_np_unique(a):
+    want_unique, want_inverse = np.unique(a, return_inverse=True)
+    unique, inverse = model.unique_inverse(a.copy())
+    assert unique.dtype == a.dtype and unique.tobytes() == want_unique.tobytes()
+    assert inverse.dtype == np.int32 and inverse.tolist() == want_inverse.tolist()
+    assert not unique.flags.writeable and not inverse.flags.writeable
+
+
+# bytes per table entry that counting and ranking the deviations may peak at,
+# under tracemalloc, on benchmark-shaped inputs of 12 745 (sweep) and 20 200
+# (retrieval) entries. Ranked with np.unique, the sparse route peaked at 88.8
+# and 106.0 and the deviations at 49.2; the dense route ranks nothing, and its
+# bounds only guard it
+SHRUNK = {"sweep": ("sweep_rankings", {"n": 60}),
+          "retrieval": ("retrieval_lists", {"n_lists": 4})}
+COUNT_PEAK = {("sweep", "dense"): 64, ("sweep", "unique"): 66,
+              ("retrieval", "dense"): 100, ("retrieval", "unique"): 80}
+DEVIATIONS_PEAK = 28
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("route", ["dense", "unique"])
+@pytest.mark.parametrize("workload", sorted(SHRUNK))
+def test_counting_memory_per_entry_is_bounded(workload, route, monkeypatch):
+    generator, shrink = SHRUNK[workload]
+    votes = bench_votes(generator, **shrink)
+    monkeypatch.setattr(model, "_DENSE_KEYS", 10**9 if route == "dense" else 0)
+    table, peak = traced_peak(lambda: model.count_patterns(votes))
+    n = len(table.count)
+    assert n >= 10_000
+    assert peak / n < COUNT_PEAK[workload, route]
+
+
+@pytest.mark.parametrize("workload", sorted(SHRUNK))
+def test_ranking_deviations_memory_per_entry_is_bounded(workload):
+    generator, shrink = SHRUNK[workload]
+    table = model.count_patterns(bench_votes(generator, **shrink))
+    n = len(table.count)
+    (unique, inverse), peak = traced_peak(lambda: table.deviations)
+    assert n >= 10_000
+    assert peak / n < DEVIATIONS_PEAK
+    assert inverse.dtype == np.int32
+    deviation = np.abs(table.value * table.count - table.total) / table.count
+    want_unique, want_inverse = np.unique(deviation, return_inverse=True)
+    assert np.array_equal(unique, want_unique) and np.array_equal(inverse, want_inverse)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ranking, ranking_sets_st, rankings_st
+from conftest import bench_votes, random_ranking, ranking_sets_st, rankings_st
 from rank_consensus import (
     ParameterError,
     Ranking,
@@ -243,6 +244,32 @@ def test_cached_state_cannot_change_results():
     for a in cached:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
+
+
+def test_kept_reports_hold_no_table_sized_state():
+    rset = RankingSet(bench_votes("sweep_rankings", n=60))
+    n = len(rset.pattern_stats.count)
+    assert n >= 10_000
+    grid = [(q, g, lam) for q in (15, 30, 40, 45) for g, lam in ((1.0, 1.0), (1.0, 0.5), (0.7, 0.2))]
+    for p in grid:  # the table's own caches: deviations and each base's weights
+        score(rset, ScoreParams(*p))
+    reports, live = [], []
+    tracemalloc.start()
+    try:
+        for p in grid:
+            reports.append(score(rset, ScoreParams(*p)))
+            live.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert all(b - a < 2 * n for a, b in zip(live, live[1:])), np.diff(live) / n
+    for (q, g, lam), rep in zip(grid, reports):
+        assert "batches" not in vars(rep.support) and "supported" not in vars(rep.support)
+        eager = support_matrices_fast(rset, q, gamma=g, lam=lam)
+        assert rep.support.batches is rep.support.batches
+        for mat, want in zip(rep.matrices, eager):
+            assert (mat.owner, mat.items) == (want.owner, want.items)
+            assert np.array_equal(mat.entries, want.entries)
+            assert np.array_equal(mat.supported, want.supported)
 
 
 def test_invalid_params_rejected(example_set):
