@@ -6,14 +6,17 @@
     rank-consensus sweep INPUT --q-fracs 0.5,0.67 --lambdas 1,0.5
     rank-consensus correlate INPUT --measure kendall_topk --topk 10 --penalty 0.5
 
-Exit codes: 0 success, 1 parameter/input errors, 2 unexpected failures.
+Exit codes: 0 success, 1 parameter/input errors or a report that could not
+be written (say, to a closed pipe), 2 unexpected failures.
 Scoring reads the ranking set's pattern table, counted once per set, so
 ``sweep`` counts patterns once for its whole grid.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from io import RawIOBase
 
 from .baselines import TopKParams, pairwise_average
 from .errors import ConsensusError, ParameterError
@@ -173,6 +176,31 @@ def _reject_separator_values(argv: list[str]) -> None:
             raise ParameterError(f"{flag} needs a value, got '--'")
 
 
+# characters of a report written per call, so that no encoded copy of the
+# whole report is made
+_SLICE = 1 << 18
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout in slices of :data:`_SLICE` characters."""
+    out = sys.stdout
+    if out is None:  # Python starts without one when fd 1 is closed
+        raise OSError("stdout is closed")
+    raw = getattr(out, "buffer", None)
+    if isinstance(raw, RawIOBase):
+        # unbuffered stdout (python -u): the text layer drops what a short
+        # write of the file leaves, so the bytes are written here
+        out.flush()
+        for start in range(0, len(text), _SLICE):
+            data = memoryview(text[start:start + _SLICE].encode(out.encoding, out.errors))
+            while data:
+                data = data[raw.write(data):]
+    else:
+        for start in range(0, len(text), _SLICE):
+            out.write(text[start:start + _SLICE])
+        out.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -191,7 +219,15 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(out)
+    try:
+        _write(out)
+    except OSError as exc:
+        # e.g. the reader closed the pipe; stdout goes to devnull so that
+        # flushing it at exit cannot fail again
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

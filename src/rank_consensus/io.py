@@ -11,42 +11,47 @@ Two input formats:
 
 Reports serialise to JSON (full-precision floats plus 2-decimal display
 strings) or CSV. Both are deterministic: equal inputs give byte-equal
-output. Votes that repeat a ranking repeat its per-vote rows, so each
-distinct row is rendered once, by ``json.dumps`` or ``csv`` itself, and
-every vote that shares it reuses that text with only its index changed; a
-JSON document is joined from its pieces once, at the end.
+output. JSON is laid out here, byte for byte as ``json.dumps`` lays it out
+with ``indent=2``. Votes that repeat a ranking repeat its per-vote rows, so each
+distinct ranking's row is rendered once, and each run of consecutive votes
+of one ranking (a preflib ``count:`` line is one) becomes a single join of
+that text over the votes' indices, at most :data:`_JOIN_VOTES` votes per
+join. A report is returned as one string, joined from these pieces; the
+CLI writes it out in slices.
 """
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Callable, Hashable, Iterable, Iterator
+import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TypeVar
+
+import numpy as np
 
 from .baselines import PairwiseAverages
 from .errors import ParameterError, ParseError
 from .model import Ranking, RankingSet
 from .outliers import OutlierReport
 from .scores import ConsensusReport
-from .support import RankingSupport
-
-T = TypeVar("T")
+from .support import RankingSupport, SupportSets
 
 # ---------------------------------------------------------------------------
 # parsing
 
 _SPECIALS = ",{}"
 # most votes one preflib file may expand to. Scores and flags are held once
-# per distinct ranking, but a report still prints one row per vote and its
-# text is held twice while it is written. At 200 000 votes over the README's
-# 4 rankings at q = N/2, `score` peaks at 79 MB as CSV (7 MB of text) and
-# `outliers --remove` at 101 MB (15 MB). As JSON they last measured 458 MB
-# (212 MB of text) and 303 MB (121 MB); the parse then took 95 MB more, but
-# freed it before the text was built. The JSON of `score` would so need
-# about 2.3 GB at this cap
+# per distinct ranking, but a report still prints one row per vote, and its
+# text is held twice while it is joined from its pieces. At 200 000 votes
+# over the README's 4 rankings at q = N/2, `score` peaks at 48 MB as CSV
+# (7 MB of text) and `outliers --remove` at 72 MB (15 MB); as JSON they peak
+# at 469 MB (212 MB of text) and 280 MB (121 MB), each the process's own
+# peak from `os.wait4`. The JSON of `score` would so need about 2.3 GB at
+# this cap
 MAX_VOTES = 10**6
 
 
@@ -200,6 +205,9 @@ def render_rankings(rset: RankingSet) -> str:
 # emission
 
 _FORMATS = ("json", "csv")
+# most votes whose rows one join assembles, so that no piece of a report
+# grows with the number of votes
+_JOIN_VOTES = 1024
 
 
 def _disp(value: float) -> str:
@@ -211,77 +219,138 @@ def _check_fmt(fmt: str) -> None:
         raise ParameterError(f"unknown output format {fmt!r}; expected one of {list(_FORMATS)}")
 
 
-def _shared(votes: Iterable[tuple[int, Hashable]],
-            render: Callable[[Hashable], T]) -> Iterator[tuple[int, T]]:
-    """``(index, render(key))`` for each vote's ``(index, key)``, rendering
-    each distinct key once.
-
-    Keys compare by value. Equal floats print alike except 0.0 and -0.0,
-    which no score or deviation takes: they are built from sums of
-    non-negative weights and from differences, and a difference of equal
-    values is +0.0.
-    """
-    texts: dict[Hashable, T] = {}
-    for index, key in votes:
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = render(key)
-        yield index, text
-
-
-def _by_vote(type_of: Iterable[int], rows: list | tuple) -> list[tuple[int, Hashable]]:
-    """``(index, rows[t])`` for each vote ``index`` of type ``t``."""
-    return [(index, rows[t]) for index, t in enumerate(type_of)]
-
-
 @dataclass(frozen=True)
 class _Rows:
-    """A JSON list of one row per vote: ``{"index": i, **fields(key)}`` for
-    each ``(i, key)`` in ``votes``."""
+    """One row per vote: vote ``i`` of type ``t`` gets ``fields(keys[t])``
+    after its index. ``fields`` is called once for each type that has votes."""
 
-    votes: list[tuple[int, Hashable]]
-    fields: Callable[[Hashable], dict]
+    type_of: Sequence[int]
+    keys: Sequence
+    fields: Callable
+
+
+def _add_rows(rows: _Rows, layout: Callable[[object], list[str]], between: str,
+              out: list[str]) -> None:
+    """Append every vote's row to ``out``, with ``between`` between rows.
+
+    ``layout(fields)`` gives the parts of a type's row, once per type, and
+    vote ``i``'s row is ``str(i).join(parts)``. Each run of consecutive
+    votes of one type, up to :data:`_JOIN_VOTES` of them, is a single join
+    over their indices.
+    """
+    laid_out: dict[int, list[str]] = {}
+    sep = ""
+    stop = 0
+    for t, run in groupby(rows.type_of):
+        start, stop = stop, stop + len(list(run))
+        parts = laid_out.get(t)
+        if parts is None:
+            parts = laid_out[t] = layout(rows.fields(rows.keys[t]))
+        for first in range(start, stop, _JOIN_VOTES):
+            indices = map(str, range(first, min(first + _JOIN_VOTES, stop)))
+            if len(parts) == 2:
+                head, tail = parts
+                out += (sep, head, (tail + between + head).join(indices), tail)
+            else:
+                out += (sep, between.join(map(str.join, indices, repeat(parts))))
+            sep = between
+
+
+def _float(value: float) -> str:
+    # json.dumps spells NaN and the infinities its own way
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# json.dumps(value) for a value of exactly one of these types
+_SCALARS: dict[type, Callable[..., str]] = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)`` for a value that is not a dict, list or tuple."""
+    # json.dumps itself for the rest (subclasses, or a TypeError): a scalar
+    # reads the same with an indent as without
+    return _SCALARS.get(type(value), json.dumps)(value)
+
+
+def _flat(value: list | tuple, inner: str, pad: str) -> str | None:
+    """The text of a list of scalars, or of a list of non-empty lists of
+    strings such as the support pairs, laid out as :func:`_render` does;
+    ``None`` for any other list."""
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if kinds <= _SCALARS.keys():
+        scalar = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
+        return "[" + inner + ("," + inner).join(map(scalar, value)) + pad + "]"
+    if (kinds <= {list, tuple} and all(value)
+            and set(map(type, chain.from_iterable(value))) == {str}):
+        deeper = inner + "  "
+        items = map(("," + deeper).join, map(map, repeat(_encode_str), value))
+        between = inner + "]," + inner + "[" + deeper
+        return "[" + inner + "[" + deeper + between.join(items) + inner + "]" + pad + "]"
+    return None
 
 
 def _render(value, out: list[str], depth: int = 0) -> None:
-    """Append the text of ``json.dumps(value, indent=2)``, as it reads nested
-    ``depth`` levels deep, to ``out`` in pieces.
+    """Append the text of ``value`` as ``json.dumps`` gives it with
+    ``indent=2``, read nested ``depth`` levels deep, to ``out`` in pieces;
+    a :class:`_Rows` reads as its list of ``{"index": i, **fields}`` rows.
 
-    Dicts are laid out here, so a :class:`_Rows` value in one can encode each
-    distinct row once and add four pieces per vote; a list of ints is joined
-    directly; anything else is encoded whole by ``json.dumps``. The document
-    is copied only when ``out`` is joined.
+    The layout is done here, without the pure-Python encoder that
+    ``json.dumps`` runs for an indent: a list of scalars is one join, and a
+    list of string lists one join per item and one over them. Each
+    distinct ranking's row of a :class:`_Rows` is laid out once.
     """
     pad = "\n" + "  " * depth
     inner = pad + "  "
-    sep = inner  # before the first item; "," + inner before the others
-    if isinstance(value, _Rows):
-        if not value.votes:
-            out.append("[]")
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
             return
-        row = "{" + inner + '  "index": '
-
-        def tail(key) -> str:
-            # the row after its index, one level deeper than this list
-            return "," + json.dumps(value.fields(key), indent=2)[1:].replace("\n", inner)
-
-        out.append("[")
-        for index, text in _shared(value.votes, tail):
-            out += (sep, row, repr(index), text)
-            sep = "," + inner
-        out.append(pad + "]")
-    elif isinstance(value, dict) and value:
-        out.append("{")
+        sep = "{" + inner
         for key, item in value.items():
-            out += (sep, json.dumps(key), ": ")
-            _render(item, out, depth + 1)
+            text = _SCALARS.get(type(item))
+            if text is None:
+                out += (sep, _encode_str(key), ": ")
+                _render(item, out, depth + 1)
+            else:
+                out += (sep, _encode_str(key), ": ", text(item))
             sep = "," + inner
         out.append(pad + "}")
-    elif isinstance(value, list) and value and all(type(item) is int for item in value):
-        # an int prints as json.dumps prints it, without its per-item cost
-        out += ("[", inner, ("," + inner).join(map(repr, value)), pad, "]")
+    elif isinstance(value, (list, tuple)):
+        text = _flat(value, inner, pad)
+        if text is not None:
+            out.append(text)
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, out, depth + 1)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, _Rows):
+        if not value.type_of:
+            out.append("[]")
+            return
+        head = "{" + inner + '  "index": '
+
+        def layout(fields: dict) -> list[str]:
+            # the row after its index, one level deeper than this list
+            text: list[str] = []
+            _render(fields, text, depth + 1)
+            return [head, "," + "".join(text)[1:]]
+
+        out.append("[" + inner)
+        _add_rows(value, layout, "," + inner, out)
+        out.append(pad + "]")
     else:
-        out.append(json.dumps(value, indent=2).replace("\n", pad))
+        out.append(_scalar(value))
 
 
 def _json(payload) -> str:
@@ -303,19 +372,44 @@ def _csv(rows: Iterable[list]) -> str:
     return "".join(_csv_lines(rows))
 
 
+def _csv_parts(cells: list[list]) -> list[str]:
+    # the parts of a vote's CSV lines, each line after the vote's index
+    return ["", *("," + line for line in _csv_lines(cells))]
+
+
+def _csv_table(head: str, rows: _Rows) -> str:
+    """``head``, then the CSV lines of every vote; ``fields(key)`` gives
+    the cells of a vote's lines after its index."""
+    out = [head]
+    _add_rows(rows, _csv_parts, "", out)
+    return "".join(out)
+
+
+def _support_rows(report: ConsensusReport, fields: Callable) -> _Rows:
+    """Rows of each vote's supported patterns, held once per type."""
+    first = np.unique(report.type_of, return_index=True)[1]
+    per_ranking = report.sets.per_ranking
+    return _Rows(report.type_of, [per_ranking[i] for i in first.tolist()], fields)
+
+
 def _sets_payload(report: ConsensusReport) -> dict:
     sets = report.sets
     return {
         "singles": sorted(sets.singles),
-        "pairs": [list(p) for p in sorted(sets.pairs)],
-        "per_ranking": _Rows(list(enumerate(sets.per_ranking)), _support_fields),
+        "pairs": sorted(sets.pairs),
+        "per_ranking": _support_rows(report, _support_fields),
     }
+
+
+def _pattern_cells(support: RankingSupport | SupportSets) -> list[list]:
+    return [*(["single", x, ""] for x in sorted(support.singles)),
+            *(["pair", x, y] for x, y in sorted(support.pairs))]
 
 
 def _support_fields(support: RankingSupport) -> dict:
     return {
         "singles": sorted(support.singles),
-        "pairs": [list(p) for p in sorted(support.pairs)],
+        "pairs": sorted(support.pairs),
     }
 
 
@@ -357,7 +451,7 @@ def _consensus_payload(report: ConsensusReport) -> dict:
             "kappa1_display": _disp(report.overall_kappa1),
             "kappa2_display": _disp(report.overall_kappa2),
         },
-        "per_ranking": _Rows(_by_vote(report.type_of, report.per_type), _score_fields),
+        "per_ranking": _Rows(report.type_of, report.per_type, _score_fields),
     }
 
 
@@ -368,15 +462,13 @@ def _score_table(report: ConsensusReport, outliers: OutlierReport | None) -> str
     deviations = outliers.per_type if outliers else [None] * len(report.per_type)
     keys = [(m, kappa1, kappa2, dev)
             for (m, _, kappa1, kappa2, _), dev in zip(report.per_type, deviations)]
-    votes = _by_vote(report.type_of, keys)
 
-    def tail(key) -> str:
+    def cells(key) -> list[list]:
         m, kappa1, kappa2, dev = key
         v1, v2, flagged = ("", "", False) if dev is None else (repr(dev[0]), repr(dev[1]), dev[2])
-        return _csv_lines([[m, repr(kappa1), repr(kappa2), v1, v2,
-                            "true" if flagged else "false"]])[0]
+        return [[m, repr(kappa1), repr(kappa2), v1, v2, "true" if flagged else "false"]]
 
-    return _csv([_SCORE_COLUMNS]) + "".join(f"{i},{text}" for i, text in _shared(votes, tail))
+    return _csv_table(_csv([_SCORE_COLUMNS]), _Rows(report.type_of, keys, cells))
 
 
 def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
@@ -396,7 +488,7 @@ def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
         payload = {
             "thresholds": {"eps1": report.eps1, "eps2": report.eps2},
             "consensus": _consensus_payload(report.consensus),
-            "per_ranking": _Rows(_by_vote(report.consensus.type_of, report.per_type),
+            "per_ranking": _Rows(report.consensus.type_of, report.per_type,
                                  _deviation_fields),
             "flagged_indices": report.flagged_indices,
         }
@@ -426,21 +518,9 @@ def emit_patterns(report: ConsensusReport, fmt: str = "json") -> str:
     """The supported-pattern sets of a scoring run."""
     _check_fmt(fmt)
     if fmt == "csv":
-        sets = report.sets
-        head = _csv([
-            ["scope", "kind", "first", "second"],
-            *(["set", "single", x, ""] for x in sorted(sets.singles)),
-            *(["set", "pair", x, y] for x, y in sorted(sets.pairs)),
-        ])
-
-        def tails(support: RankingSupport) -> list[str]:
-            return _csv_lines([
-                *(["single", x, ""] for x in sorted(support.singles)),
-                *(["pair", x, y] for x, y in sorted(support.pairs)),
-            ])
-
-        per_vote = _shared(enumerate(sets.per_ranking), tails)
-        return head + "".join(f"{i},{line}" for i, lines in per_vote for line in lines)
+        head = _csv([["scope", "kind", "first", "second"],
+                     *(["set", *cells] for cells in _pattern_cells(report.sets))])
+        return _csv_table(head, _support_rows(report, _pattern_cells))
     payload = {"q": report.params.q, "n_rankings": report.n_rankings}
     payload.update(_sets_payload(report))
     return _json(payload)

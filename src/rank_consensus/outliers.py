@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 
 from .errors import DegenerateConsensusError, ParameterError
 from .model import RankingSet
@@ -30,8 +31,9 @@ class OutlierReport:
     """Deviations and flags, together with the consensus run they came from.
 
     ``per_type`` holds ``(v1, v2, flagged)`` once per distinct ranking of
-    the consensus run; ``per_ranking`` is the per-vote view of it, built
-    the first time it is read.
+    the consensus run; ``per_ranking`` is the per-vote view of it and
+    ``flagged_indices`` the votes it flags, each built the first time it is
+    read.
     """
 
     consensus: ConsensusReport
@@ -50,9 +52,11 @@ class OutlierReport:
         rows = self.per_type
         return [rows[t][2] for t in self.consensus.type_of]
 
-    @property
+    @cached_property
     def flagged_indices(self) -> list[int]:
-        return [l for l, flagged in enumerate(self.flags) if flagged]
+        flagged = [row[2] for row in self.per_type]
+        type_of = self.consensus.type_of
+        return list(compress(range(len(type_of)), map(flagged.__getitem__, type_of)))
 
     @property
     def n_flagged(self) -> int:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -368,3 +369,76 @@ def test_console_entry_point(example_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["params"]["q"] == 3
+
+
+# --- writing the report --------------------------------------------------------
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_one_with_one_error_line(tmp_path, unbuffered):
+    path = tmp_path / "votes.soc"
+    path.write_text("3000: a,b,c\n3000: b,a,c\n1: c\n")  # megabytes of JSON, past a pipe's 64 KB
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"  # a raw stdout, which accepts short writes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rank_consensus.cli", "outliers", str(path),
+         "--input-format", "preflib", "--remove"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err.startswith("error: cannot write the report: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class Trickle(io.RawIOBase):
+    """A raw file that takes at most two bytes per write."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += bytes(b[:2])
+        return min(len(b), 2)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["score", "--q", "2"],
+    ["patterns", "--q", "2"],
+    ["outliers", "--q", "2", "--remove"],
+    ["sweep", "--q-fracs", "1/2,1", "--lambdas", "1,0.5"],
+    ["correlate", "--measure", "spearman"],
+])
+def test_stdout_is_the_emitted_report_written_in_slices(tmp_path, monkeypatch, argv, fmt,
+                                                        unbuffered):
+    # the patterns CSV prints the name as it is, two bytes for its last letter
+    path = tmp_path / "rankings.txt"
+    path.write_text("café,b,c,d\nb,café,c,d\nc,b,café,d\nd,c,b,café\n",
+                    encoding="utf-8")
+    emitted = []
+    for name in ("emit_report", "emit_patterns", "emit_sweep"):
+        def record(*args, _emit=getattr(cli, name), **kwargs):
+            emitted.append(_emit(*args, **kwargs))
+            return emitted[-1]
+
+        monkeypatch.setattr(cli, name, record)
+    monkeypatch.setattr(cli, "_SLICE", 3)
+    if unbuffered:
+        raw = Trickle()
+        stream = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    else:
+        raw = io.BytesIO()
+        stream = io.TextIOWrapper(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = cli.main([argv[0], str(path), "--format", fmt, *argv[1:]])
+    assert code == 0
+    assert len(emitted) == 1
+    data = raw.data if unbuffered else raw.getvalue()
+    assert bytes(data) == emitted[0].encode("utf-8")

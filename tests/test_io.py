@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import re
+from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -495,18 +497,22 @@ def test_rows_are_rendered_once_per_distinct_ranking(monkeypatch):
     kinds = [Ranking.strict("ba"), Ranking.strict("bca"), Ranking([["a", "b"], ["c"]])]
     rset = RankingSet([kinds[i % 5 % 3] for i in range(200)])
     rendered = []
-    real = rc_io._shared
 
-    def counting(votes, render):
-        rendered.append(0)
+    @dataclass(frozen=True)
+    class CountingRows(rc_io._Rows):
+        # counts the fields(key) calls of each row list, in the order made
+        def __post_init__(self):
+            slot = len(rendered)
+            rendered.append(0)
+            fields = self.fields
 
-        def counted(key):
-            rendered[-1] += 1
-            return render(key)
+            def counted(key):
+                rendered[slot] += 1
+                return fields(key)
 
-        return real(votes, counted)
+            object.__setattr__(self, "fields", counted)
 
-    monkeypatch.setattr(rc_io, "_shared", counting)
+    monkeypatch.setattr(rc_io, "_Rows", CountingRows)
     params = ScoreParams(q=100)
     rep = score(rset, params)
     out = detect_outliers(rep, eps1=2, eps2=2)  # no vote flagged
@@ -519,3 +525,44 @@ def test_rows_are_rendered_once_per_distinct_ranking(monkeypatch):
     assert rendered == [3, 3, 3, 3, 3, 3, 3, 3, 3]
     assert len(rescored.per_ranking) == 200
     assert text.count('"index": ') == 400
+
+
+@settings(max_examples=40, deadline=None)
+@given(voted_sets_st(), st.data())
+@pytest.mark.parametrize("join_votes", [1, 2])
+def test_emission_with_split_runs_equals_the_per_vote_reference(join_votes, rset, data):
+    # each join covers at most join_votes votes, so runs of equal votes split
+    params = ScoreParams(q=data.draw(st.integers(1, len(rset))), gamma=0.5, lam=0.7)
+    with mock.patch.object(rc_io, "_JOIN_VOTES", join_votes):
+        assert_emits_reference(rset, params)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
+    st.sampled_from(AWKWARD),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1f)),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.sampled_from(AWKWARD), st.text()), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example([["a", "b"], ("café", "x,y")])
+@example([("a", "b"), [], ["c"]])
+@example({"rows": [[], [1, 2], (True, None, 2.5)], "": {}})
+def test_renderer_lays_out_what_json_dumps_does(value):
+    assert rc_io._json(value) == json.dumps(value, indent=2) + "\n"
