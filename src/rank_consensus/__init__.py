@@ -16,36 +16,13 @@ from .baselines import (
     spearman_rho_topk,
 )
 from .errors import ConsensusError, DegenerateConsensusError, ParameterError, ParseError
-from .io import (
-    emit_patterns,
-    emit_report,
-    emit_sweep,
-    parse_rankings,
-    parse_rankings_text,
-    render_rankings,
-)
+from .io import emit_patterns, emit_report, emit_sweep, parse_rankings
 from .model import Ranking, RankingSet
-from .outliers import OutlierReport, RankingDeviation, detect_outliers, remove_and_rescore
-from .scores import (
-    ConsensusReport,
-    RankingScore,
-    ScoreParams,
-    gap_deviation,
-    mean_gap,
-    mean_position,
-    position_deviation,
-    q_from_fraction,
-    score,
-)
-from .support import (
-    RankingSupport,
-    SupportMatrix,
-    SupportSets,
-    support_count,
-    support_matrices_fast,
-    support_matrix_naive,
-    support_sets,
-)
+from .outliers import OutlierReport, detect_outliers, remove_and_rescore
+# not public: perfbench/check.py imports the oracle from here
+from .reference import support_matrix_naive  # noqa: F401
+from .scores import ConsensusReport, ScoreParams, q_from_fraction, score
+from .support import support_matrices_fast
 
 __version__ = "0.1.0"
 
@@ -58,35 +35,21 @@ __all__ = [
     "ParameterError",
     "ParseError",
     "Ranking",
-    "RankingDeviation",
-    "RankingScore",
     "RankingSet",
-    "RankingSupport",
     "ScoreParams",
-    "SupportMatrix",
-    "SupportSets",
     "TopKParams",
     "detect_outliers",
     "emit_patterns",
     "emit_report",
     "emit_sweep",
-    "gap_deviation",
     "kendall_tau",
     "kendall_tau_topk",
-    "mean_gap",
-    "mean_position",
     "pairwise_average",
     "parse_rankings",
-    "parse_rankings_text",
-    "position_deviation",
     "q_from_fraction",
     "remove_and_rescore",
-    "render_rankings",
     "score",
     "spearman_rho",
     "spearman_rho_topk",
-    "support_count",
     "support_matrices_fast",
-    "support_matrix_naive",
-    "support_sets",
 ]

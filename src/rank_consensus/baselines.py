@@ -123,6 +123,10 @@ def kendall_tau_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     The sum is normalised by the number of union pairs.
     """
     params.validate()
+    return _kendall_tau_topk(a, b, params)
+
+
+def _kendall_tau_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     pos_a, pos_b = _topk_prefixes(a, b, params.k)
     union = sorted(set(pos_a) | set(pos_b))
     n_pairs = len(union) * (len(union) - 1) // 2
@@ -146,6 +150,10 @@ def spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     (default ``k + 1``), then positions are Pearson-correlated as usual.
     """
     params.validate()
+    return _spearman_rho_topk(a, b, params)
+
+
+def _spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     pos_a, pos_b = _topk_prefixes(a, b, params.k)
     union = sorted(set(pos_a) | set(pos_b))
     if len(union) < 2:
@@ -159,8 +167,9 @@ def spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
 _MEASURES = {
     "kendall": lambda a, b, params: kendall_tau(a, b),
     "spearman": lambda a, b, params: spearman_rho(a, b),
-    "kendall_topk": lambda a, b, params: kendall_tau_topk(a, b, params),
-    "spearman_topk": lambda a, b, params: spearman_rho_topk(a, b, params),
+    # pairwise_average validates the top-k parameters once, before its pairs
+    "kendall_topk": _kendall_tau_topk,
+    "spearman_topk": _spearman_rho_topk,
 }
 
 
@@ -182,8 +191,10 @@ def pairwise_average(rset: RankingSet, measure: str,
         raise ParameterError(
             f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}"
         ) from None
-    if measure.endswith("_topk") and params is None:
-        raise ParameterError(f"measure {measure!r} needs TopKParams")
+    if measure.endswith("_topk"):
+        if params is None:
+            raise ParameterError(f"measure {measure!r} needs TopKParams")
+        params.validate()
     n = len(rset)
     if n < 2:
         raise ParameterError("need at least two rankings to average pairwise measures")

@@ -49,9 +49,9 @@ _SPECIALS = ",{}"
 # text is held twice while it is joined from its pieces. At 200 000 votes
 # over the README's 4 rankings at q = N/2, `score` peaks at 48 MB as CSV
 # (7 MB of text) and `outliers --remove` at 72 MB (15 MB); as JSON they peak
-# at 469 MB (212 MB of text) and 280 MB (121 MB), each the process's own
-# peak from `os.wait4`. The JSON of `score` would so need about 2.3 GB at
-# this cap
+# at 442 MB (212 MB of text) and 280 MB (121 MB), and `patterns` peaks at
+# 139 MB as CSV (53 MB), each the process's own peak from `os.wait4`. The
+# JSON of `score` would so need about 2.2 GB at this cap
 MAX_VOTES = 10**6
 
 
@@ -189,8 +189,23 @@ def parse_rankings(path: str | Path, fmt: str = "lines") -> RankingSet:
     return parse_rankings_text(text.removeprefix("\ufeff"), fmt, source=str(path))
 
 
+def _unwritable(item: str) -> bool:
+    # the lines format splits on these, or strips and drops them
+    return (item != item.strip() or any(c in item for c in ",{}#")
+            or item.splitlines() != [item])
+
+
 def render_rankings(rset: RankingSet) -> str:
-    """The ``lines`` representation; parses back to an equal set."""
+    """The ``lines`` representation; parses back to an equal set.
+
+    An item the format cannot hold, one that contains ``,``, ``{``, ``}``,
+    ``#`` or a line break or has whitespace at either end, is a
+    :class:`ParameterError` naming the first vote that ranks one.
+    """
+    bad = {x for x in rset.universe if _unwritable(x)}
+    if bad:
+        l, item = next((l, x) for l, r in enumerate(rset) for x in r.items if x in bad)
+        raise ParameterError(f"vote {l}: item {item!r} cannot be written in the lines format")
     out = []
     for r in rset:
         parts = [

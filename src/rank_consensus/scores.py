@@ -15,9 +15,10 @@ per-type scores. Everything that depends on the set alone (counts, batch
 layout, deviation weights) is kept with the set, so scoring one set at many
 grid points, as ``sweep`` does, pays per point only for thresholding,
 weighting, filling and reducing, and a kept report holds no array the size
-of the set's pattern table. The batches, the per-vote rows, the per-vote
-matrices with their bool ``supported`` masks and the supported-pattern sets
-are built only when first read.
+of the set's pattern table. The supported-pattern sets, read off the
+pattern table once per distinct ranking, the batches, the per-vote rows and
+the per-vote matrices with their bool ``supported`` masks are built only
+when first read, and no command reads the matrices.
 """
 from __future__ import annotations
 
@@ -31,15 +32,15 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import RankingSet
-# support_matrices_fast is not called here, but perfbench/spans.py traces it
-# under this module's name
+# support_matrices_fast and support_sets are not called here, but
+# perfbench/spans.py traces them under this module's name
+from .reference import support_sets  # noqa: F401
 from .support import (  # noqa: F401
     SupportBatches,
     SupportMatrix,
     SupportSets,
     support_batches,
     support_matrices_fast,
-    support_sets,
 )
 
 
@@ -80,56 +81,6 @@ def q_from_fraction(frac: Fraction | str | float, n_rankings: int) -> int:
     return int(math.ceil(scaled)) if scaled.denominator > 1 else int(scaled)
 
 
-def mean_position(x: str, rset: RankingSet) -> float:
-    """Average position of ``x`` over the rankings that contain it."""
-    positions = [r.position(x) for r in rset if r.position(x)]
-    if not positions:
-        raise ValueError(f"item {x!r} appears in no ranking")
-    return sum(positions) / len(positions)
-
-
-def mean_gap(x: str, y: str, rset: RankingSet) -> float:
-    """Average position gap of the pattern ``x y`` over rankings containing it."""
-    gaps = [r.position(y) - r.position(x) for r in rset if r.contains_pattern(x, y)]
-    if not gaps:
-        raise ValueError(f"pattern {x!r} {y!r} appears in no ranking")
-    return sum(gaps) / len(gaps)
-
-
-def position_deviation(x: str, l: int, rset: RankingSet) -> float:
-    """|position of ``x`` in ranking ``l`` minus its set-wide mean position|.
-
-    Computed as ``|p * f - sum| / f`` with integer numerator, so thirds and
-    the like come out as correctly rounded floats.
-    """
-    p = rset[l].position(x)
-    if not p:
-        raise ValueError(f"item {x!r} is not in ranking {l}")
-    count = 0
-    total = 0
-    for r in rset:
-        pos = r.position(x)
-        if pos:
-            count += 1
-            total += pos
-    return abs(p * count - total) / count
-
-
-def gap_deviation(x: str, y: str, l: int, rset: RankingSet) -> float:
-    """|gap of ``x y`` in ranking ``l`` minus the set-wide mean gap|."""
-    ranking = rset[l]
-    if not ranking.contains_pattern(x, y):
-        raise ValueError(f"pattern {x!r} {y!r} is not in ranking {l}")
-    gap = ranking.position(y) - ranking.position(x)
-    count = 0
-    total = 0
-    for r in rset:
-        if r.contains_pattern(x, y):
-            count += 1
-            total += r.position(y) - r.position(x)
-    return abs(gap * count - total) / count
-
-
 @dataclass(frozen=True)
 class RankingScore:
     """Scores of a single ranking.
@@ -154,8 +105,9 @@ class ConsensusReport:
     indexed by type, and ``type_of[l]`` is the type of vote ``l``.
     ``support`` holds the set's pattern table and the parameters; its
     batches, the per-vote views (``per_ranking``, ``matrices``) and the
-    supported-pattern ``sets`` are built the first time they are read, so
-    runs whose output never prints them neither pay for them nor keep them.
+    supported-pattern ``sets``, read off the table per distinct ranking,
+    are built the first time they are read, so runs whose output never
+    prints them neither pay for them nor keep them.
     ``original_indices`` records, for a report of
     :func:`~rank_consensus.outliers.remove_and_rescore`, the index in the
     original set of each vote it scored; it is ``None`` for a report of a
@@ -197,7 +149,7 @@ class ConsensusReport:
 
     @cached_property
     def sets(self) -> SupportSets:
-        return support_sets(list(self.matrices))
+        return self.support.sets()
 
 
 def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:

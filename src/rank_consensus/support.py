@@ -9,19 +9,20 @@ certified entries carry ``gamma ** h`` (diagonal, ``h`` the item's position
 deviation from its set-wide mean) or ``lam ** d`` (off-diagonal, ``d`` the
 pair's gap deviation from its set-wide mean gap).
 
-Two construction routes are provided on purpose: :func:`support_matrix_naive`
-rescans the whole set for every entry and is the reference oracle, while
 :func:`support_batches` thresholds and weights the entries of the set's
 pattern table (:attr:`RankingSet.pattern_stats`) in whole-array operations
 and fills read-only ``(k, m, m)`` float batches per length ``m`` of the
-set's distinct rankings. They must agree entrywise. The table already holds
-the batch layout and the deviation weights, so filling only thresholds,
-gathers weights and fills, and a :class:`SupportBatches` keeps nothing but
-the table and the parameters until its batches are read. Scores reduce each
-batch as it is filled and drop it; :func:`support_matrices_fast` and a
+set's distinct rankings; they agree entrywise with the full-scan oracle in
+:mod:`~rank_consensus.reference`. The table already holds the batch layout
+and the deviation weights, so filling only thresholds, gathers weights and
+fills, and a :class:`SupportBatches` keeps nothing but the table and the
+parameters until its batches are read. Scores reduce each batch as it is
+filled and drop it. The supported patterns are the table entries whose
+count reaches ``q``: :meth:`SupportBatches.sets` reads them off the table
+per distinct ranking, with no matrix. :func:`support_matrices_fast` and a
 report's ``matrices`` are per-vote views of kept batches, in which duplicate
-rankings share one matrix, and only those views fill the bool ``supported``
-matrices.
+rankings share one matrix, for tests and inspection; only those views fill
+the bool ``supported`` matrices.
 """
 from __future__ import annotations
 
@@ -102,54 +103,6 @@ def _weight(base: float, deviation: float) -> float:
     if base == 1.0 or deviation == 0.0:
         return 1.0
     return math.exp(deviation * math.log(base))
-
-
-def _deviation(value: int, total: int, count: int) -> float:
-    # |value - total/count| with an exact integer numerator
-    return abs(value * count - total) / count
-
-
-def support_count(x: str, y: str, rset: RankingSet) -> int:
-    """Number of rankings containing the pattern ``x y`` (membership if x == y)."""
-    return sum(1 for r in rset if r.contains_pattern(x, y))
-
-
-def support_matrix_naive(l: int, rset: RankingSet, q: int,
-                         *, gamma: float = 1.0, lam: float = 1.0) -> SupportMatrix:
-    """Reference construction: a full scan of the set for every entry.
-
-    Deliberately cache-free; this is the oracle the fast path is tested
-    against.
-    """
-    _check_params(rset, q, gamma, lam)
-    ranking = rset[l]
-    items = ranking.items
-    m = len(items)
-    entries = np.zeros((m, m))
-    mask = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        x = items[i]
-        for j in range(i, m):
-            y = items[j]
-            count = 0
-            total = 0
-            for rz in rset:
-                if i == j:
-                    p = rz.position(x)
-                    if p:
-                        count += 1
-                        total += p
-                elif rz.contains_pattern(x, y):
-                    count += 1
-                    total += rz.position(y) - rz.position(x)
-            if count >= q:
-                mask[j, i] = True
-                if i == j:
-                    entries[j, i] = _weight(gamma, _deviation(ranking.position(x), total, count))
-                else:
-                    gap = ranking.position(y) - ranking.position(x)
-                    entries[j, i] = _weight(lam, _deviation(gap, total, count))
-    return SupportMatrix(owner=l, items=items, entries=entries, supported=mask)
 
 
 def _deviation_weights(table: PatternTable, base: float) -> np.ndarray:
@@ -252,6 +205,29 @@ class SupportBatches:
                 shared[t] = (self.types[t].items, e, s)
         return [SupportMatrix(l, *shared[t]) for l, t in enumerate(self.type_of)]
 
+    def sets(self) -> SupportSets:
+        """The supported patterns of every vote, read off the table entries
+        that reach the threshold: one ``np.nonzero`` per length, and one
+        :class:`RankingSupport` per distinct ranking, shared by its votes."""
+        per_type: list[RankingSupport] = [None] * len(self.types)
+        for m, group, spans in self.table.by_length:
+            rows, cols = lower_triangle(m)
+            k, cell = np.nonzero(self.supported[spans])
+            bounds = np.searchsorted(k, np.arange(len(group) + 1)).tolist()
+            firsts, seconds = cols[cell].tolist(), rows[cell].tolist()
+            for t, lo, hi in zip(group.tolist(), bounds, bounds[1:]):
+                items = self.types[t].items
+                cells = list(zip(firsts[lo:hi], seconds[lo:hi]))
+                per_type[t] = RankingSupport(
+                    singles=frozenset(items[i] for i, j in cells if i == j),
+                    pairs=frozenset((items[i], items[j]) for i, j in cells if i < j),
+                )
+        return SupportSets(
+            singles=frozenset().union(*(p.singles for p in per_type)),
+            pairs=frozenset().union(*(p.pairs for p in per_type)),
+            per_ranking=tuple([per_type[t] for t in self.type_of]),
+        )
+
 
 def support_batches(rset: RankingSet, q: int, *, gamma: float = 1.0,
                     lam: float = 1.0) -> SupportBatches:
@@ -269,33 +245,8 @@ def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
                           lam: float = 1.0) -> list[SupportMatrix]:
     """All per-ranking support matrices, read off the set's pattern table.
 
-    Entrywise identical to running :func:`support_matrix_naive` for every
-    ranking. Duplicate rankings share one read-only ``entries`` and
+    Entrywise identical to running
+    :func:`~rank_consensus.reference.support_matrix_naive` for every ranking. Duplicate rankings share one read-only ``entries`` and
     ``supported`` array.
     """
     return support_batches(rset, q, gamma=gamma, lam=lam).matrices()
-
-
-def support_sets(matrices: list[SupportMatrix]) -> SupportSets:
-    """Read the supported-pattern sets off the matrices of one ranking set.
-
-    Matrices that share one ``supported`` array (duplicate rankings) share
-    one :class:`RankingSupport`.
-    """
-    # keyed by array identity: every matrix, so every key, outlives the loop
-    distinct: dict[int, RankingSupport] = {}
-    per = []
-    for mat in matrices:
-        support = distinct.get(id(mat.supported))
-        if support is None:
-            items = mat.items
-            rows, cols = np.nonzero(mat.supported)
-            cells = list(zip(cols.tolist(), rows.tolist()))
-            support = distinct[id(mat.supported)] = RankingSupport(
-                singles=frozenset(items[i] for i, j in cells if i == j),
-                pairs=frozenset((items[i], items[j]) for i, j in cells if i < j),
-            )
-        per.append(support)
-    singles = frozenset().union(*(p.singles for p in distinct.values()))
-    pairs = frozenset().union(*(p.pairs for p in distinct.values()))
-    return SupportSets(singles=singles, pairs=pairs, per_ranking=tuple(per))

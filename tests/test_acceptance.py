@@ -33,10 +33,9 @@ from rank_consensus import (
     score,
     spearman_rho,
     spearman_rho_topk,
-    support_count,
     support_matrices_fast,
-    support_matrix_naive,
 )
+from rank_consensus.reference import support_count, support_matrix_naive
 
 
 @contextmanager

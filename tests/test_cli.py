@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank_consensus import cli
+from rank_consensus import cli, reference, scores, support
 
 
 @pytest.fixture
@@ -122,6 +122,18 @@ def test_correlate_requires_topk_flag(example_file, capsys):
     code, _, err = run(capsys, "correlate", example_file, "--measure", "spearman_topk")
     assert code == 1
     assert "--topk" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--measure", "kendall_topk", "--topk", "0"),
+    ("--measure", "kendall_topk", "--topk", "3", "--penalty", "2"),
+    ("--measure", "spearman_topk", "--topk", "3", "--ell", "1"),
+])
+def test_topk_parameter_errors_name_no_ranking_pair(example_file, capsys, argv):
+    code, out, err = run(capsys, "correlate", example_file, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rankings" not in err and "(0, 1)" not in err
 
 
 def test_correlate_incomparable_universes(example_file, capsys):
@@ -350,6 +362,29 @@ def test_separator_as_an_option_value_exits_one_naming_the_flag(example_file, ca
     code, out, err = run(capsys, command, example_file, f"{flag}=--")
     assert (code, out) == (1, "")
     assert err == f"error: {flag} needs a value, got '--'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("score", "--format", "json"),
+    ("score", "--format", "csv"),
+    ("patterns", "--format", "json"),
+    ("patterns", "--format", "csv"),
+    ("outliers", "--q", "3", "--remove"),
+    ("sweep",),
+])
+def test_commands_build_no_matrix_and_call_no_oracle(example_file, capsys, monkeypatch, argv):
+    command, *options = argv
+    want = run(capsys, command, example_file, *options)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built per-vote matrices or called the oracle")
+
+    monkeypatch.setattr(support.SupportBatches, "matrices", refuse)
+    for name in ("support_sets", "support_matrix_naive"):
+        monkeypatch.setattr(reference, name, refuse)
+    monkeypatch.setattr(scores, "support_sets", refuse)
+    assert run(capsys, command, example_file, *options) == want
+    assert want[0] == 0
 
 
 def test_unexpected_failure_exits_two(example_file, capsys, monkeypatch):

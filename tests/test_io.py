@@ -24,12 +24,11 @@ from rank_consensus import (
     emit_sweep,
     pairwise_average,
     parse_rankings,
-    parse_rankings_text,
     remove_and_rescore,
-    render_rankings,
     score,
 )
 from rank_consensus import io as rc_io
+from rank_consensus.io import parse_rankings_text, render_rankings
 
 EXAMPLE_LINES = """\
 # worked example
@@ -175,6 +174,38 @@ def test_render_uses_braces_for_ties():
 @given(ranking_sets_st())
 def test_render_round_trip_random(rset):
     assert parse_rankings_text(render_rankings(rset)) == rset
+
+
+def test_render_refuses_preflib_names_the_lines_format_cannot_hold():
+    text = ("# ALTERNATIVE NAME 1: Smith, John\n# ALTERNATIVE NAME 2: Doe #2\n"
+            "# ALTERNATIVE NAME 3: Lee\n1: 3\n1: 1,2,3\n")
+    rset = parse_rankings_text(text, "preflib")
+    assert rset[1].items == ("Smith, John", "Doe #2", "Lee")
+    with pytest.raises(ParameterError) as exc:
+        render_rankings(rset)
+    assert str(exc.value) == "vote 1: item 'Smith, John' cannot be written in the lines format"
+
+
+@pytest.mark.parametrize("item", ["a,b", "{a", "a}", "a#b", "a\nb", "a\r", "a\u2028b", " a", "a\t"])
+def test_render_names_the_vote_and_the_unwritable_item(item):
+    rset = RankingSet([Ranking.strict("ab"), Ranking([["c"], [item, "d"]])])
+    with pytest.raises(ParameterError) as exc:
+        render_rankings(rset)
+    assert str(exc.value) == f"vote 1: item {item!r} cannot be written in the lines format"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True),
+                min_size=1, max_size=3))
+def test_render_parses_back_to_an_equal_set_or_refuses(orders):
+    rset = RankingSet([Ranking.strict(order) for order in orders])
+    try:
+        text = render_rankings(rset)
+    except ParameterError:
+        assert any(x != x.strip() or set(x) & set(",{}#") or x.splitlines() != [x]
+                   for x in rset.universe)
+        return
+    assert parse_rankings_text(text) == rset
 
 
 # --- emission ----------------------------------------------------------------

@@ -14,14 +14,11 @@ from rank_consensus import (
     Ranking,
     RankingSet,
     ScoreParams,
-    gap_deviation,
-    mean_gap,
-    mean_position,
-    position_deviation,
     q_from_fraction,
     score,
 )
-from rank_consensus import model, scores, support
+from rank_consensus import model, reference, scores, support
+from rank_consensus.reference import gap_deviation, mean_gap, mean_position, position_deviation
 from rank_consensus.support import support_matrices_fast
 
 
@@ -103,19 +100,19 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
     rset = RankingSet([Ranking([["a", "b"], ["c"]]), Ranking.strict("bca"), Ranking.strict("ab")] * 3
                       + [Ranking.strict("d")])
     calls = []
-    real = scores.support_sets
+    real = support.SupportBatches.sets
 
-    def counting(matrices):
+    def counting(batches):
         calls.append(1)
-        return real(matrices)
+        return real(batches)
 
-    monkeypatch.setattr(scores, "support_sets", counting)
+    monkeypatch.setattr(support.SupportBatches, "sets", counting)
     grid = [(q, base, base) for q in (1, 3, 5, 10) for base in (1.0, 0.7, 0.2)]
     reports = [score(rset, ScoreParams(q=q, gamma=g, lam=lam)) for q, g, lam in grid]
     assert len(reports) == 12
     assert calls == []
     for rep in reports:
-        assert rep.sets == real(list(rep.matrices))
+        assert rep.sets == reference.support_sets(list(rep.matrices))
         assert rep.sets is rep.sets
     assert len(calls) == 12
 
@@ -126,6 +123,20 @@ def voted_sets_st(draw):
     truncation and one-item rankings."""
     pool = draw(st.lists(rankings_st(), min_size=1, max_size=6))
     return RankingSet(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12)))
+
+
+@pytest.mark.parametrize("route", ["dense", "unique"])
+@settings(max_examples=60, deadline=None)
+@given(voted_sets_st(), st.sampled_from([0.3, 1.0]))
+def test_table_read_sets_equal_the_reference(route, rset, base):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_DENSE_KEYS", 10**9 if route == "dense" else 0)
+        rset = RankingSet(rset.rankings)  # counted on this route
+        for q in range(1, len(rset) + 1):
+            got = score(rset, ScoreParams(q=q, gamma=base, lam=base)).sets
+            assert got == reference.support_sets(support_matrices_fast(rset, q))
+            # the votes of one distinct ranking share its patterns
+            assert len({id(p) for p in got.per_ranking}) == len(rset.pattern_stats.types)
 
 
 @pytest.mark.parametrize("budget", [None, 1, 250])

@@ -11,11 +11,9 @@ from rank_consensus import (
     ParameterError,
     Ranking,
     RankingSet,
-    support_count,
     support_matrices_fast,
-    support_matrix_naive,
-    support_sets,
 )
+from rank_consensus.reference import support_count, support_matrix_naive, support_sets
 
 # Certificate matrices for the four-ranking example at q=3, worked out by
 # counting containments by hand. Row/column order is each ranking's own
