@@ -20,3 +20,7 @@ class ParseError(ConsensusError):
 
 class DegenerateConsensusError(ConsensusError):
     """An overall consensus score is zero, so relative deviations are undefined."""
+
+
+class PatternTableTooLargeError(ConsensusError):
+    """The distinct rankings own more patterns than one table may hold."""

@@ -7,7 +7,9 @@ Two input formats:
 * ``preflib`` — preference-library election files: ``#``-prefixed metadata
   (``ALTERNATIVE NAME i`` entries rename numeric items), then
   ``count: order`` rows whose orders use the same brace syntax and are
-  repeated ``count`` times, up to :data:`MAX_VOTES` votes per file.
+  repeated ``count`` times.
+
+Either format holds at most :data:`MAX_VOTES` votes per file.
 
 Reports serialise to JSON (full-precision floats plus 2-decimal display
 strings) or CSV. Both are deterministic: equal inputs give byte-equal
@@ -44,7 +46,8 @@ from .support import RankingSupport, SupportSets
 # parsing
 
 _SPECIALS = ",{}"
-# most votes one preflib file may expand to. Scores and flags are held once
+# most votes one file may hold, in either format: a lines file's rankings, or
+# the sum of a preflib file's vote counts. Scores and flags are held once
 # per distinct ranking, but a report still prints one row per vote, and its
 # text is held twice while it is joined from its pieces. At 200 000 votes
 # over the README's 4 rankings at q = N/2, `score` peaks at 48 MB as CSV
@@ -118,7 +121,11 @@ def _parse_lines(text: str, source: str) -> RankingSet:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        rankings.append(_parse_ranking(line, f"{source}:{lineno}"))
+        where = f"{source}:{lineno}"
+        if len(rankings) == MAX_VOTES:
+            raise ParseError(f"{where}: this ranking brings the file's total "
+                             f"to {MAX_VOTES + 1}, above the limit of {MAX_VOTES}")
+        rankings.append(_parse_ranking(line, where))
     if not rankings:
         raise ParseError(f"{source}: no rankings found")
     return RankingSet(rankings)
@@ -142,10 +149,14 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
         count_text, sep, order_text = line.partition(":")
         if not sep:
             raise ParseError(f"{where}: expected 'count: order'")
+        count_text = count_text.strip()
         try:
-            count = int(count_text.strip())
+            # int() also reads "1_000", "+3" and non-ASCII digits
+            if not (count_text.isascii() and count_text.removeprefix("-").isdigit()):
+                raise ValueError
+            count = int(count_text)
         except ValueError:
-            raise ParseError(f"{where}: vote count {count_text.strip()!r} is not an integer") from None
+            raise ParseError(f"{where}: vote count {count_text!r} is not an integer") from None
         if count <= 0:
             raise ParseError(f"{where}: vote count must be positive, got {count}")
         n_votes += count

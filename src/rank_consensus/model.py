@@ -9,10 +9,12 @@ immutable after construction and safe to share across threads.
 A set counts its patterns once, on first use, and keeps the result as a
 :class:`PatternTable`: one vectorised pass per ranking length over its
 distinct rankings gives every ordered pattern's support and position/gap
-total, laid out per distinct ranking in the cell order of its support
-matrix. The table also keeps what every threshold and weight reads alike:
-the batch layout by length, and, once a weighted run asks, the distinct
-deviations and each weight base's weights of them.
+total. The table lays its entries out length by length, each distinct
+ranking's in the cell order of its support matrix, so the entries of all
+distinct rankings of one length are one contiguous block, and every batch a
+reader takes is a slice of it. The table also keeps what every threshold
+and weight reads alike: once a weighted run asks, the distinct deviations
+and each weight base's weights of them.
 """
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .errors import PatternTableTooLargeError
 
 
 @dataclass(frozen=True)
@@ -154,33 +158,29 @@ def lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class PatternTable:
-    """Pattern counts of a ranking set, laid out per distinct ranking.
+    """Pattern counts of a ranking set, laid out length by length.
 
     ``types`` are the distinct rankings in order of first appearance and
-    ``type_of[l]`` is the type of vote ``l``. Type ``t`` owns the entries
-    ``offsets[t]:offsets[t + 1]``, one per cell of
-    ``lower_triangle(len(types[t]))``; cell ``[j, i]`` is the pattern formed
-    by its i-th and j-th items. Per entry, ``count`` is the pattern's
-    support, ``total`` sums its position (``diag``) or its gap over the
-    rankings that contain it, and ``value`` is the type's own position or
-    gap.
-
-    ``by_length`` is the batch layout: per length ``m`` of the types,
-    ascending, ``(m, index, span)`` with the ``k`` types of that length in
-    first-appearance order and the ``(k, m(m+1)/2)`` entries they own; the
-    spans are views of one index array. ``deviations`` and ``weight_memo``
-    hold the deviation weights, computed on first use. All arrays are
-    read-only.
+    ``type_of[l]`` is the type of vote ``l``. ``by_length`` lists, per
+    length ``m`` of the types, ascending, ``(m, group, lo, hi)``: the ``k``
+    types of that length in first-appearance order own the entries
+    ``lo:hi``, ``m(m+1)/2`` per type in that order, and the blocks tile the
+    table. A type's entries are the cells of ``lower_triangle(m)``; cell
+    ``[j, i]`` is the pattern formed by its i-th and j-th items, so
+    ``a[lo:hi].reshape(k, -1)`` is one row of cells per type. Per entry,
+    ``count`` is the pattern's support, ``total`` sums its position
+    (``diag``) or its gap over the rankings that contain it, and ``value`` is
+    the type's own position or gap. ``deviations`` and ``weight_memo`` hold
+    the deviation weights, computed on first use. All arrays are read-only.
     """
 
     types: tuple[Ranking, ...]
     type_of: tuple[int, ...]
-    offsets: np.ndarray
     count: np.ndarray
     total: np.ndarray
     value: np.ndarray
     diag: np.ndarray
-    by_length: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    by_length: tuple[tuple[int, np.ndarray, int, int], ...]
     # weight base -> weight of each distinct deviation, filled by support.py;
     # threads racing on one base only compute equal arrays twice
     weight_memo: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
@@ -237,6 +237,15 @@ _DENSE_KEYS = 2
 # then at most 256 KB, where a whole length at once (fifty 100-item lists)
 # peaked 5.6 MB higher
 _COUNT_CELLS = 1 << 15
+# most entries the pattern table of one set may have; each distinct ranking of
+# m items owns m(m+1)/2, so one ranking may hold up to 2448 items. The
+# heaviest commands, `score` and `patterns` as JSON at q = 1, print every
+# entry as a supported pattern: on one strict ranking of 124 750 and 249 571
+# entries they peak at 98 and 164 MB, about 570 bytes per entry over the
+# 31 MB of a tiny input (each the process's own peak from `os.wait4`). At
+# this cap they would so need about 1.7 GB, or 1.9 GB at the 630 bytes per
+# entry seen at 374 545 entries; `score` as CSV needs about a sixth of that
+MAX_ENTRIES = 3 * 10**6
 
 
 def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
@@ -246,10 +255,12 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
     lower-triangle cells, plus the reverse of every tied pair, and ``x x``
     is membership. The distinct rankings of one length ``m`` give their
     keys, positions and gaps as ``(k, m(m+1)/2)`` arrays taken over
-    ``lower_triangle(m)``, a few rankings at a time, and write them straight
-    into the per-type layout. Two ``np.bincount`` calls weighted by
+    ``lower_triangle(m)``, a few rankings at a time, written straight into
+    that length's block of the table. Two ``np.bincount`` calls weighted by
     multiplicity give the counts and totals. Float weights stay exact while
     the sums are below 2**53, far above any vote total the parsers accept.
+    Raises :class:`PatternTableTooLargeError`, before allocating the table,
+    when it would have more than :data:`MAX_ENTRIES` entries.
     """
     rankings = tuple(rankings)  # keeps every vote alive while its id is a key
     index: dict[Ranking, int] = {}
@@ -259,45 +270,49 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
             by_id[id(r)] = index.setdefault(r, len(index))
     type_of = tuple([by_id[id(r)] for r in rankings])
     types = tuple(index)
+    lengths = [len(r) for r in types]
+    n_own = sum(m * (m + 1) // 2 for m in lengths)
+    if n_own > MAX_ENTRIES:
+        longest = max(range(len(types)), key=lengths.__getitem__)
+        raise PatternTableTooLargeError(
+            f"vote {type_of.index(longest)} ranks {lengths[longest]} items; the "
+            f"distinct rankings would need {n_own} pattern table entries, above "
+            f"the limit of {MAX_ENTRIES}")
     times = np.bincount(type_of).astype(float)
     ids = {x: i for i, x in enumerate(sorted(set().union(*(r._positions for r in types))))}
     u = len(ids)
-    lengths = [len(r) for r in types]
     groups: dict[int, list[int]] = {}
     for t, m in enumerate(lengths):
         groups.setdefault(m, []).append(t)
-    offsets = np.zeros(len(types) + 1, dtype=np.int64)
-    np.cumsum([m * (m + 1) // 2 for m in lengths], out=offsets[1:])
-    n_own = int(offsets[-1])
     keys = np.empty(n_own, dtype=np.int64)
     value = np.empty(n_own, dtype=np.int64)
     diag = np.empty(n_own, dtype=bool)
-    order = np.empty(n_own, dtype=np.int64)  # the entries, length by length
-    by_length, ties, start = [], [], 0
+    weight = np.empty(n_own)
+    by_length, ties, lo = [], [], 0
     for m, group in sorted(groups.items()):
         rows, cols = lower_triangle(m)
         on_diag = rows == cols
         group = np.array(group)
-        spans = order[start:start + len(group) * len(rows)].reshape(len(group), len(rows))
-        np.add(offsets[group][:, None], np.arange(len(rows)), out=spans)
-        by_length.append((m, group, spans))
-        start += spans.size
+        hi = lo + len(group) * len(rows)
+        by_length.append((m, group, lo, hi))
+        block_keys, block_value = (a[lo:hi].reshape(len(group), len(rows)) for a in (keys, value))
+        diag[lo:hi].reshape(len(group), len(rows))[:] = on_diag
+        weight[lo:hi] = np.repeat(times[group], len(rows))
+        lo = hi
         step = max(1, _COUNT_CELLS // len(rows))
         for i in range(0, len(group), step):
-            part, span = group[i:i + step], spans[i:i + step]
+            part = group[i:i + step]
             members = [types[t]._positions for t in part.tolist()]
             item = np.array([ids[x] for p in members for x in p], dtype=np.int64).reshape(-1, m)
             pos = np.array([v for p in members for v in p.values()], dtype=np.int64).reshape(-1, m)
             at = pos.take(rows, axis=1)  # several times faster than pos[:, rows]
             gap = at - pos.take(cols, axis=1)
-            keys[span] = item.take(cols, axis=1) * u + item.take(rows, axis=1)
-            value[span] = np.where(on_diag, at, gap)
-            diag[span] = on_diag
+            block_keys[i:i + step] = item.take(cols, axis=1) * u + item.take(rows, axis=1)
+            block_value[i:i + step] = np.where(on_diag, at, gap)
             k, cell = np.nonzero((gap == 0) & ~on_diag)
             ties.append((item[k, rows[cell]] * u + item[k, cols[cell]], times[part[k]]))
     tied_keys = np.concatenate([key for key, _ in ties])
     tied_weight = np.concatenate([w for _, w in ties])
-    weight = np.repeat(times, np.diff(offsets))
     if u * u <= _DENSE_KEYS * (n_own + len(tied_keys)):
         own, tied, n_slots = keys, tied_keys, u * u
     else:
@@ -312,8 +327,8 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
     totals = np.bincount(own, weights=weight, minlength=n_slots)
     del weight
     total = totals[own].astype(np.int64)
-    for a in (offsets, count, total, value, diag, order):
+    for a in (count, total, value, diag):
         a.flags.writeable = False
-    for _, group, spans in by_length:
-        group.flags.writeable = spans.flags.writeable = False
-    return PatternTable(types, type_of, offsets, count, total, value, diag, tuple(by_length))
+    for _, group, _, _ in by_length:
+        group.flags.writeable = False
+    return PatternTable(types, type_of, count, total, value, diag, tuple(by_length))

@@ -10,14 +10,15 @@ placement, so the scores reward agreement *and* proximity.
 
 Scores are reduced from the support matrices batched by ranking length:
 each distinct ranking is scored once, by ``np.trace`` and a sum over its
-matrix in a batch that is dropped once reduced, and a report keeps those
-per-type scores. Everything that depends on the set alone (counts, batch
-layout, deviation weights) is kept with the set, so scoring one set at many
-grid points, as ``sweep`` does, pays per point only for thresholding,
-weighting, filling and reducing, and a kept report holds no array the size
-of the set's pattern table. The supported-pattern sets, read off the
-pattern table once per distinct ranking, the batches, the per-vote rows and
-the per-vote matrices with their bool ``supported`` masks are built only
+matrix in a batch, filled from one slice of the set's pattern table and
+dropped once reduced. Everything that depends on the set alone (counts,
+their length-by-length layout, deviation weights) is kept with the set, so
+scoring one set at many grid points, as ``sweep`` does, pays per point only
+for thresholding, weighting, filling and reducing. A report holds just the
+set's table, its parameters and the per-type scores, so a kept report
+adds no array the size of the table. Its per-vote rows, its
+supported-pattern sets, read off the table once per distinct ranking, and
+its per-vote matrices with their bool ``supported`` masks are built only
 when first read, and no command reads the matrices.
 """
 from __future__ import annotations
@@ -30,18 +31,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import support
 from .errors import ParameterError
-from .model import RankingSet
+from .model import PatternTable, RankingSet
 # support_matrices_fast and support_sets are not called here, but
 # perfbench/spans.py traces them under this module's name
 from .reference import support_sets  # noqa: F401
-from .support import (  # noqa: F401
-    SupportBatches,
-    SupportMatrix,
-    SupportSets,
-    support_batches,
-    support_matrices_fast,
-)
+from .support import SupportMatrix, SupportSets, support_matrices_fast  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,12 @@ class ConsensusReport:
     """Everything a scoring run produced, in one place.
 
     Scores are held once per distinct ranking: ``kappa1``/``kappa2`` are
-    indexed by type, and ``type_of[l]`` is the type of vote ``l``.
-    ``support`` holds the set's pattern table and the parameters; its
-    batches, the per-vote views (``per_ranking``, ``matrices``) and the
+    indexed by type, and ``type_of[l]`` is the type of vote ``l``. Besides
+    them a report holds just the set's pattern ``table`` and the ``params``;
+    the per-vote views (``per_ranking``, ``matrices``) and the
     supported-pattern ``sets``, read off the table per distinct ranking,
-    are built the first time they are read, so runs whose output never
-    prints them neither pay for them nor keep them.
+    are built from those two the first time they are read, so runs whose
+    output never prints them neither pay for them nor keep them.
     ``original_indices`` records, for a report of
     :func:`~rank_consensus.outliers.remove_and_rescore`, the index in the
     original set of each vote it scored; it is ``None`` for a report of a
@@ -118,20 +114,20 @@ class ConsensusReport:
     n_rankings: int
     overall_kappa1: float
     overall_kappa2: float
-    support: SupportBatches
+    table: PatternTable
     kappa1: np.ndarray
     kappa2: np.ndarray
     original_indices: tuple[int, ...] | None = None
 
     @property
     def type_of(self) -> tuple[int, ...]:
-        return self.support.type_of
+        return self.table.type_of
 
     @cached_property
     def per_type(self) -> tuple[tuple[int, int, float, float, bool], ...]:
         """``(m, n_pairs, kappa1, kappa2, singleton)`` of each distinct ranking."""
         rows = []
-        for ranking, kappa1, kappa2 in zip(self.support.types, self.kappa1.tolist(),
+        for ranking, kappa1, kappa2 in zip(self.table.types, self.kappa1.tolist(),
                                            self.kappa2.tolist()):
             m = len(ranking)
             n_pairs = m * (m - 1) // 2
@@ -145,11 +141,12 @@ class ConsensusReport:
 
     @cached_property
     def matrices(self) -> tuple[SupportMatrix, ...]:
-        return tuple(self.support.matrices())
+        p = self.params
+        return tuple(support.matrices(self.table, p.q, p.gamma, p.lam))
 
     @cached_property
     def sets(self) -> SupportSets:
-        return self.support.sets()
+        return support.sets(self.table, self.params.q)
 
 
 def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
@@ -159,26 +156,27 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
     length; batches are filled one at a time and dropped once reduced. The
     averages sum every vote's scores with ``math.fsum``.
     """
-    support = support_batches(rset, params.q, gamma=params.gamma, lam=params.lam)
-    kappa1 = np.empty(len(support.types))
-    kappa2 = np.zeros(len(support.types))  # 0 by convention without pairs
-    for index, _, entries in support.fill():
+    support._check_params(rset, params.q, params.gamma, params.lam)
+    table = rset.pattern_stats
+    kappa1 = np.empty(len(table.types))
+    kappa2 = np.zeros(len(table.types))  # 0 by convention without pairs
+    for group, _, entries in support.fill(table, params.q, params.gamma, params.lam):
         m = entries.shape[1]
         n_pairs = m * (m - 1) // 2
         trace = np.trace(entries, axis1=1, axis2=2)
-        kappa1[index] = trace / m
+        kappa1[group] = trace / m
         if n_pairs:
-            kappa2[index] = (entries.sum(axis=(1, 2)) - trace) / n_pairs
+            kappa2[group] = (entries.sum(axis=(1, 2)) - trace) / n_pairs
     for a in (kappa1, kappa2):
         a.flags.writeable = False
-    votes = np.bincount(support.type_of, minlength=len(support.types))
+    votes = np.bincount(table.type_of, minlength=len(table.types))
     n = len(rset)
     return ConsensusReport(
         params=params,
         n_rankings=n,
         overall_kappa1=math.fsum(np.repeat(kappa1, votes).tolist()) / n,
         overall_kappa2=math.fsum(np.repeat(kappa2, votes).tolist()) / n,
-        support=support,
+        table=table,
         kappa1=kappa1,
         kappa2=kappa2,
     )

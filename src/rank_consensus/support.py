@@ -9,32 +9,30 @@ certified entries carry ``gamma ** h`` (diagonal, ``h`` the item's position
 deviation from its set-wide mean) or ``lam ** d`` (off-diagonal, ``d`` the
 pair's gap deviation from its set-wide mean gap).
 
-:func:`support_batches` thresholds and weights the entries of the set's
-pattern table (:attr:`RankingSet.pattern_stats`) in whole-array operations
-and fills read-only ``(k, m, m)`` float batches per length ``m`` of the
-set's distinct rankings; they agree entrywise with the full-scan oracle in
-:mod:`~rank_consensus.reference`. The table already holds the batch layout
-and the deviation weights, so filling only thresholds, gathers weights and
-fills, and a :class:`SupportBatches` keeps nothing but the table and the
-parameters until its batches are read. Scores reduce each batch as it is
-filled and drop it. The supported patterns are the table entries whose
-count reaches ``q``: :meth:`SupportBatches.sets` reads them off the table
-per distinct ranking, with no matrix. :func:`support_matrices_fast` and a
-report's ``matrices`` are per-vote views of kept batches, in which duplicate
-rankings share one matrix, for tests and inspection; only those views fill
-the bool ``supported`` matrices.
+Everything here reads the set's pattern table
+(:attr:`RankingSet.pattern_stats`), which lays its entries out length by
+length, and the parameters; nothing is kept between calls but the table's
+own deviation weights. :func:`fill` thresholds and weights every entry in
+whole-array operations and fills read-only ``(k, m, m)`` float batches,
+each from one contiguous slice of the weights; they agree entrywise with
+the full-scan oracle in :mod:`~rank_consensus.reference`. Scores reduce
+each batch as it is filled and drop it. :func:`sets` reads the supported
+patterns, the entries whose count reaches ``q``, off each length's slice of
+the counts, per distinct ranking and with no matrix. :func:`matrices` and
+:func:`support_matrices_fast` are per-vote views of filled batches, in which
+duplicate rankings share one matrix, for tests and inspection; only they
+fill the bool ``supported`` matrices.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError
-from .model import PatternTable, Ranking, RankingSet, lower_triangle
+from .model import PatternTable, RankingSet, lower_triangle
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,128 +115,86 @@ def _deviation_weights(table: PatternTable, base: float) -> np.ndarray:
 
 
 # most bytes the float matrices of one batch, and the bool ones once a view
-# fills them, may take. Read whenever batches are filled, not kept with the
-# set. The distinct rankings of one length that need more are split over
-# several batches, which bounds the index arrays that fill a batch: with 16 MB
-# batches, fifty 100-item lists peaked 2.2 MB higher than with one matrix at a
-# time
+# fills them, may take; read whenever batches are filled. The distinct
+# rankings of one length that need more are split over several batches: with
+# 16 MB batches, fifty 100-item lists peaked 2.2 MB higher than with one
+# matrix at a time
 _BATCH_BYTES = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class SupportBatches:
-    """The support matrices of a set's distinct rankings, batched by length.
+def fill(table: PatternTable, q: int, gamma: float,
+         lam: float) -> Iterator[tuple[np.ndarray, slice, np.ndarray]]:
+    """The weight matrices of the table's distinct rankings, batch by batch.
 
-    Only the set's pattern table and the parameters are kept. Each batch is
-    ``(index, span, entries)``: the type indices of ``k`` distinct rankings
-    of one length ``m``, the ``(k, m(m+1)/2)`` pattern table entries they
-    own, and their read-only ``(k, m, m)`` weight matrices. :meth:`fill`
-    yields fresh batches one at a time, for a reader that drops each one;
-    ``batches`` keeps them and ``supported`` says which table entries reach
-    the threshold. Both are filled from the table on first read, so they
-    equal what any earlier :meth:`fill` yielded; the bool matrices are
-    filled from ``supported`` only when :meth:`matrices` is called.
+    Thresholds all entries at once, picks their weights, and yields
+    ``(group, cells, entries)``: the type indices of ``k`` distinct rankings
+    of one length ``m``, the slice of the table entries they own, and their
+    fresh read-only ``(k, m, m)`` weight matrices, filled by fancy indexing
+    from that slice. Batches split under ``_BATCH_BYTES`` as it is when this
+    is called. The parameters are not checked here.
     """
-
-    table: PatternTable
-    q: int
-    gamma: float
-    lam: float
-
-    @property
-    def types(self) -> tuple[Ranking, ...]:
-        return self.table.types
-
-    @property
-    def type_of(self) -> tuple[int, ...]:
-        return self.table.type_of
-
-    @cached_property
-    def supported(self) -> np.ndarray:
-        supported = self.table.count >= self.q
-        supported.flags.writeable = False
-        return supported
-
-    @cached_property
-    def batches(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        return tuple(self.fill())
-
-    def fill(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Threshold all entries at once, pick their weights, and fill each
-        batch's float matrices by fancy indexing; batches split under
-        ``_BATCH_BYTES`` as it is when this is called."""
-        table = self.table
-        if (self.gamma, self.lam) == (1.0, 1.0):
-            weights = (table.count >= self.q).astype(float)
-        else:
-            # one entry-sized array per call: with a second float array, or
-            # np.take's int64 copy of the index, sweep faulted ~600 pages back
-            # in per call and its 12 calls took ~50 ms in process, not ~35.
-            # The first weighted call ranks the deviations before making it
-            index = table.deviations[1]
-            weights = (np.ones(len(index)) if self.lam == 1.0
-                       else _deviation_weights(table, self.lam)[index])
-            diag = table.diag
-            weights[diag] = (1.0 if self.gamma == 1.0
-                             else _deviation_weights(table, self.gamma)[index[diag]])
-            weights *= table.count >= self.q  # w * 1.0 is w, and unsupported is 0.0
-        for m, group, spans in table.by_length:
-            rows, cols = lower_triangle(m)
-            step = max(1, _BATCH_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
-            for start in range(0, len(group), step):
-                span = spans[start:start + step]
-                entries = np.zeros((len(span), m, m))
-                entries[:, rows, cols] = weights[span]
-                entries.flags.writeable = False
-                yield group[start:start + step], span, entries
-
-    def matrices(self) -> list[SupportMatrix]:
-        """One matrix per vote; the votes of one distinct ranking share its
-        read-only views into the batches."""
-        shared: list[tuple] = [()] * len(self.types)
-        for index, span, entries in self.batches:
-            rows, cols = lower_triangle(entries.shape[1])
-            mask = np.zeros(entries.shape, dtype=bool)
-            mask[:, rows, cols] = self.supported[span]
-            mask.flags.writeable = False
-            for t, e, s in zip(index.tolist(), entries, mask):
-                shared[t] = (self.types[t].items, e, s)
-        return [SupportMatrix(l, *shared[t]) for l, t in enumerate(self.type_of)]
-
-    def sets(self) -> SupportSets:
-        """The supported patterns of every vote, read off the table entries
-        that reach the threshold: one ``np.nonzero`` per length, and one
-        :class:`RankingSupport` per distinct ranking, shared by its votes."""
-        per_type: list[RankingSupport] = [None] * len(self.types)
-        for m, group, spans in self.table.by_length:
-            rows, cols = lower_triangle(m)
-            k, cell = np.nonzero(self.supported[spans])
-            bounds = np.searchsorted(k, np.arange(len(group) + 1)).tolist()
-            firsts, seconds = cols[cell].tolist(), rows[cell].tolist()
-            for t, lo, hi in zip(group.tolist(), bounds, bounds[1:]):
-                items = self.types[t].items
-                cells = list(zip(firsts[lo:hi], seconds[lo:hi]))
-                per_type[t] = RankingSupport(
-                    singles=frozenset(items[i] for i, j in cells if i == j),
-                    pairs=frozenset((items[i], items[j]) for i, j in cells if i < j),
-                )
-        return SupportSets(
-            singles=frozenset().union(*(p.singles for p in per_type)),
-            pairs=frozenset().union(*(p.pairs for p in per_type)),
-            per_ranking=tuple([per_type[t] for t in self.type_of]),
-        )
+    if (gamma, lam) == (1.0, 1.0):
+        weights = (table.count >= q).astype(float)
+    else:
+        # one entry-sized array per call: with a second float array, or
+        # np.take's int64 copy of the index, sweep faulted ~600 pages back
+        # in per call and its 12 calls took ~50 ms in process, not ~35.
+        # The first weighted call ranks the deviations before making it
+        index = table.deviations[1]
+        weights = (np.ones(len(index)) if lam == 1.0
+                   else _deviation_weights(table, lam)[index])
+        diag = table.diag
+        weights[diag] = (1.0 if gamma == 1.0
+                         else _deviation_weights(table, gamma)[index[diag]])
+        weights *= table.count >= q  # w * 1.0 is w, and unsupported is 0.0
+    for m, group, lo, _ in table.by_length:
+        rows, cols = lower_triangle(m)
+        step = max(1, _BATCH_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
+        for start in range(0, len(group), step):
+            part = group[start:start + step]
+            cells = slice(lo + start * len(rows), lo + (start + len(part)) * len(rows))
+            entries = np.zeros((len(part), m, m))
+            entries[:, rows, cols] = weights[cells].reshape(len(part), len(rows))
+            entries.flags.writeable = False
+            yield part, cells, entries
 
 
-def support_batches(rset: RankingSet, q: int, *, gamma: float = 1.0,
-                    lam: float = 1.0) -> SupportBatches:
-    """Every distinct ranking's support matrix, read off the set's pattern table.
+def matrices(table: PatternTable, q: int, gamma: float, lam: float) -> list[SupportMatrix]:
+    """One matrix per vote; the votes of one distinct ranking share its
+    read-only views into the filled batches."""
+    shared: list[tuple] = [()] * len(table.types)
+    for group, cells, entries in fill(table, q, gamma, lam):
+        rows, cols = lower_triangle(entries.shape[1])
+        mask = np.zeros(entries.shape, dtype=bool)
+        mask[:, rows, cols] = (table.count[cells] >= q).reshape(len(group), len(rows))
+        mask.flags.writeable = False
+        for t, e, s in zip(group.tolist(), entries, mask):
+            shared[t] = (table.types[t].items, e, s)
+    return [SupportMatrix(l, *shared[t]) for l, t in enumerate(table.type_of)]
 
-    The table holds everything that depends on the set alone: the counts,
-    the batch layout and the deviation weights. This validates the
-    parameters and fills nothing; the batches are filled when read.
-    """
-    _check_params(rset, q, gamma, lam)
-    return SupportBatches(rset.pattern_stats, q, gamma, lam)
+
+def sets(table: PatternTable, q: int) -> SupportSets:
+    """The supported patterns of every vote, read off the table entries that
+    reach the threshold: one ``np.nonzero`` per length, and one
+    :class:`RankingSupport` per distinct ranking, shared by its votes."""
+    per_type: list[RankingSupport] = [None] * len(table.types)
+    for m, group, lo, hi in table.by_length:
+        rows, cols = lower_triangle(m)
+        k, cell = np.nonzero((table.count[lo:hi] >= q).reshape(len(group), len(rows)))
+        bounds = np.searchsorted(k, np.arange(len(group) + 1)).tolist()
+        firsts, seconds = cols[cell].tolist(), rows[cell].tolist()
+        for t, a, b in zip(group.tolist(), bounds, bounds[1:]):
+            items = table.types[t].items
+            cells = list(zip(firsts[a:b], seconds[a:b]))
+            per_type[t] = RankingSupport(
+                singles=frozenset(items[i] for i, j in cells if i == j),
+                pairs=frozenset((items[i], items[j]) for i, j in cells if i < j),
+            )
+    return SupportSets(
+        singles=frozenset().union(*(p.singles for p in per_type)),
+        pairs=frozenset().union(*(p.pairs for p in per_type)),
+        per_ranking=tuple([per_type[t] for t in table.type_of]),
+    )
 
 
 def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
@@ -246,7 +202,9 @@ def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
     """All per-ranking support matrices, read off the set's pattern table.
 
     Entrywise identical to running
-    :func:`~rank_consensus.reference.support_matrix_naive` for every ranking. Duplicate rankings share one read-only ``entries`` and
+    :func:`~rank_consensus.reference.support_matrix_naive` for every
+    ranking. Duplicate rankings share one read-only ``entries`` and
     ``supported`` array.
     """
-    return support_batches(rset, q, gamma=gamma, lam=lam).matrices()
+    _check_params(rset, q, gamma, lam)
+    return matrices(rset.pattern_stats, q, gamma, lam)

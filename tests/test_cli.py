@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank_consensus import cli, reference, scores, support
+from rank_consensus import cli, model, reference, scores, support
 
 
 @pytest.fixture
@@ -316,6 +316,25 @@ def test_any_file_exits_zero_or_one_naming_it(workdir, data, fmt, command):
         assert out and err == ""
 
 
+@pytest.mark.parametrize("command", ["score", "patterns", "outliers", "sweep"])
+def test_a_pattern_table_over_the_bound_exits_one(example_file, capsys, monkeypatch, command):
+    monkeypatch.setattr(model, "MAX_ENTRIES", 83)  # the four 6-item rankings own 84
+    code, out, err = run(capsys, command, example_file)
+    assert (code, out) == (1, "")
+    assert err == ("error: vote 0 ranks 6 items; the distinct rankings would need 84 "
+                   "pattern table entries, above the limit of 83\n")
+
+
+def test_a_ranking_just_over_the_real_bound_exits_one(tmp_path, capsys):
+    # 2449 items own 2449 * 2450 / 2 = 3 000 025 entries, 25 over the limit
+    path = tmp_path / "long.txt"
+    path.write_text("a,b\n" + ",".join(f"item{i}" for i in range(2449)) + "\n")
+    code, out, err = run(capsys, "score", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: vote 1 ranks 2449 items; the distinct rankings would need "
+                   "3000028 pattern table entries, above the limit of 3000000\n")
+
+
 threshold_text = st.one_of(
     st.text(max_size=12),
     st.text(st.sampled_from("0123456789./-+e_ nainf,"), max_size=12),
@@ -379,7 +398,7 @@ def test_commands_build_no_matrix_and_call_no_oracle(example_file, capsys, monke
     def refuse(*args, **kwargs):
         raise AssertionError("a command built per-vote matrices or called the oracle")
 
-    monkeypatch.setattr(support.SupportBatches, "matrices", refuse)
+    monkeypatch.setattr(support, "matrices", refuse)
     for name in ("support_sets", "support_matrix_naive"):
         monkeypatch.setattr(reference, name, refuse)
     monkeypatch.setattr(scores, "support_sets", refuse)

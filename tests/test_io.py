@@ -133,6 +133,9 @@ def test_parse_preflib_without_names_keeps_tokens():
     ("0: 1,2\n", "must be positive"),
     ("-2: 1,2\n", "must be positive"),
     ("x: 1,2\n", "not an integer"),
+    ("1_000: 1,2\n", "not an integer"),
+    ("+3: 1,2\n", "not an integer"),
+    ("\u0663: 1,2\n", "not an integer"),
     ("1,2,3\n", "expected 'count: order'"),
     ("# TITLE: empty\n", "no rankings"),
 ])
@@ -153,6 +156,13 @@ def test_vote_cap_counts_the_whole_file(monkeypatch):
     assert len(parse_rankings_text("4: 1,2\n1: 2\n", fmt="preflib")) == 5
     with pytest.raises(ParseError, match=r"<string>:2: .* total to 6, above the limit of 5"):
         parse_rankings_text("4: 1,2\n2: 2\n", fmt="preflib")
+
+
+def test_vote_cap_counts_the_rankings_of_a_lines_file(monkeypatch):
+    monkeypatch.setattr(rc_io, "MAX_VOTES", 2)
+    assert len(parse_rankings_text("a,b\n# note\n\nb\n")) == 2
+    with pytest.raises(ParseError, match=r"<string>:4: .* total to 3, above the limit of 2"):
+        parse_rankings_text("a,b\nb\n# note\na\n")
 
 
 def test_parse_preflib_name_collision():

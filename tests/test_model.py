@@ -121,18 +121,19 @@ def test_pattern_stats_counts_ties_both_ways_and_repeats():
     tied = Ranking([["a", "b"], ["c"]])
     rs = RankingSet([tied, tied, Ranking.strict("ca"), Ranking.strict("ba")])
     stats = rs.pattern_stats
-    # per distinct ranking, cell by cell: a a, a b, b b, a c, b c, c c for
-    # the tied one (counted twice), then c c, c a, a a, then b b, b a, a a;
-    # the tied pair counts in both orders, so "a b" has the two tied votes
-    # and "b a" has those two plus "ba"
+    # length by length, then per distinct ranking, cell by cell: c c, c a,
+    # a a, then b b, b a, a a, then a a, a b, b b, a c, b c, c c for the
+    # tied one (counted twice); the tied pair counts in both orders, so
+    # "a b" has the two tied votes and "b a" has those two plus "ba"
     assert stats.types == (tied, Ranking.strict("ca"), Ranking.strict("ba"))
     assert stats.type_of == (0, 0, 1, 2)
-    assert stats.offsets.tolist() == [0, 6, 9, 12]
-    assert stats.count.tolist() == [4, 2, 3, 2, 2, 3, 3, 1, 4, 3, 3, 4]
-    assert stats.total.tolist() == [6, 0, 3, 2, 2, 5, 5, 1, 6, 3, 1, 6]
-    assert stats.value.tolist() == [1, 0, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2]
-    assert stats.diag.tolist() == [True, False, True, False, False, True,
-                                   True, False, True, True, False, True]
+    assert [(m, group.tolist(), lo, hi) for m, group, lo, hi in stats.by_length] == [
+        (2, [1, 2], 0, 6), (3, [0], 6, 12)]
+    assert stats.count.tolist() == [3, 1, 4, 3, 3, 4, 4, 2, 3, 2, 2, 3]
+    assert stats.total.tolist() == [5, 1, 6, 3, 1, 6, 6, 0, 3, 2, 2, 5]
+    assert stats.value.tolist() == [1, 1, 2, 1, 1, 2, 1, 0, 1, 1, 1, 2]
+    assert stats.diag.tolist() == [True, False, True, True, False, True,
+                                   True, False, True, False, False, True]
     assert rs.pattern_stats is stats
 
 
@@ -143,7 +144,9 @@ def test_ranking_set_pickles_after_counting(example_set):
     counted = copy.pattern_stats
     assert counted is not stats
     assert (counted.types, counted.type_of) == (stats.types, stats.type_of)
-    for name in ("offsets", "count", "total", "value", "diag"):
+    assert [(m, lo, hi) for m, _, lo, hi in counted.by_length] == [
+        (m, lo, hi) for m, _, lo, hi in stats.by_length]
+    for name in ("count", "total", "value", "diag"):
         assert np.array_equal(getattr(counted, name), getattr(stats, name))
 
 
@@ -169,15 +172,19 @@ def test_universe_reads_each_distinct_ranking_once(monkeypatch):
 
 def reference_count_patterns(rankings):
     """The earlier count: one loop step per distinct ranking, one
-    ``np.unique`` over every key. Returns the per-type layout as a dict."""
+    ``np.unique`` over every key. Returns the table's layout, length by
+    length, as a dict; ``groups`` lists each length's types."""
     index = {}
     type_of = tuple(index.setdefault(r, len(index)) for r in rankings)
     types = tuple(index)
     times = np.bincount(type_of).astype(float)
     ids = {x: i for i, x in enumerate(sorted(frozenset().union(*(r.item_set for r in types))))}
     u = len(ids)
+    lengths = sorted({len(r) for r in types})
+    groups = [[t for t, r in enumerate(types) if len(r) == m] for m in lengths]
+    laid_out = [t for group in groups for t in group]
     own, tied, values, diags = [], [], [], []
-    for r in types:
+    for r in (types[t] for t in laid_out):
         rows, cols = lower_triangle(len(r))
         item = np.array([ids[x] for x in r._positions], dtype=np.int64)
         pos = np.array(list(r._positions.values()), dtype=np.int64)
@@ -190,6 +197,7 @@ def reference_count_patterns(rankings):
         diags.append(diag)
     sizes = [len(k) for k in own]
     n_own = sum(sizes)
+    times = times[laid_out]
     weight = np.concatenate((np.repeat(times, sizes), np.repeat(times, [len(k) for k in tied])))
     keys, inverse = np.unique(np.concatenate(own + tied), return_inverse=True)
     del own, tied
@@ -199,8 +207,7 @@ def reference_count_patterns(rankings):
     totals = np.bincount(entry, weights=weight[:n_own] * value,
                          minlength=len(keys)).astype(np.int64)
     return dict(
-        types=types, type_of=type_of,
-        offsets=np.cumsum([0] + sizes),
+        types=types, type_of=type_of, groups=groups,
         count=counts[entry], total=totals[entry], value=value,
         diag=np.concatenate(diags),
     )
@@ -237,20 +244,24 @@ def test_count_patterns_equals_the_per_ranking_reference(route, votes):
         table = model.count_patterns(votes)
     assert table.types == want["types"]
     assert table.type_of == want["type_of"]
-    for name in ("offsets", "count", "total", "value", "diag"):
+    for name in ("count", "total", "value", "diag"):
         got = getattr(table, name)
         assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
         assert not got.flags.writeable
-    # the batch layout lists every type once, lengths ascending
-    lengths = [m for m, _, _ in table.by_length]
+    # the layout lists every type once, lengths ascending, each length's
+    # types in first-appearance order, and its blocks tile the table in order
+    lengths = [m for m, _, _, _ in table.by_length]
     assert lengths == sorted(set(lengths))
-    seen = []
-    for m, group, span in table.by_length:
+    assert [group.tolist() for _, group, _, _ in table.by_length] == want["groups"]
+    seen, end = [], 0
+    for m, group, lo, hi in table.by_length:
         assert group.tolist() == sorted(group.tolist())
         assert all(len(table.types[t]) == m for t in group.tolist())
-        assert np.array_equal(span, table.offsets[group][:, None] + np.arange(m * (m + 1) // 2))
-        assert not group.flags.writeable and not span.flags.writeable
+        assert lo == end and hi - lo == len(group) * m * (m + 1) // 2
+        assert not group.flags.writeable
         seen += group.tolist()
+        end = hi
+    assert end == len(table.count)
     assert sorted(seen) == list(range(len(table.types)))
 
 

@@ -100,13 +100,13 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
     rset = RankingSet([Ranking([["a", "b"], ["c"]]), Ranking.strict("bca"), Ranking.strict("ab")] * 3
                       + [Ranking.strict("d")])
     calls = []
-    real = support.SupportBatches.sets
+    real = support.sets
 
-    def counting(batches):
+    def counting(table, q):
         calls.append(1)
-        return real(batches)
+        return real(table, q)
 
-    monkeypatch.setattr(support.SupportBatches, "sets", counting)
+    monkeypatch.setattr(support, "sets", counting)
     grid = [(q, base, base) for q in (1, 3, 5, 10) for base in (1.0, 0.7, 0.2)]
     reports = [score(rset, ScoreParams(q=q, gamma=g, lam=lam)) for q, g, lam in grid]
     assert len(reports) == 12
@@ -246,12 +246,12 @@ def test_cached_state_cannot_change_results():
                                                                 first.overall_kappa2)
     table = rset.pattern_stats
     assert sorted(table.weight_memo) == [0.3, 0.5, 0.7]
-    cached = [table.offsets, table.count, table.total, table.value, table.diag,
+    cached = [table.count, table.total, table.value, table.diag,
               *table.deviations, *table.weight_memo.values()]
-    cached += [a for _, group, span in table.by_length for a in (group, span)]
+    cached += [group for _, group, _, _ in table.by_length]
     for rep in runs[0].values():
-        cached += [rep.kappa1, rep.kappa2, rep.support.supported]
-        cached += [a for batch in rep.support.batches for a in batch]
+        cached += [rep.kappa1, rep.kappa2]
+        cached += [a for mat in rep.matrices for a in (mat.entries, mat.supported)]
     for a in cached:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
@@ -274,9 +274,9 @@ def test_kept_reports_hold_no_table_sized_state():
         tracemalloc.stop()
     assert all(b - a < 2 * n for a, b in zip(live, live[1:])), np.diff(live) / n
     for (q, g, lam), rep in zip(grid, reports):
-        assert "batches" not in vars(rep.support) and "supported" not in vars(rep.support)
+        assert "matrices" not in vars(rep) and "sets" not in vars(rep)
         eager = support_matrices_fast(rset, q, gamma=g, lam=lam)
-        assert rep.support.batches is rep.support.batches
+        assert rep.matrices is rep.matrices
         for mat, want in zip(rep.matrices, eager):
             assert (mat.owner, mat.items) == (want.owner, want.items)
             assert np.array_equal(mat.entries, want.entries)
