@@ -19,7 +19,7 @@ import sys
 from io import RawIOBase
 
 from .baselines import TopKParams, pairwise_average
-from .errors import ConsensusError, ParameterError
+from .errors import ConsensusError, ParameterError, PatternTableTooLargeError
 from .io import emit_patterns, emit_report, emit_sweep, parse_rankings
 from .outliers import detect_outliers, remove_and_rescore
 from .scores import ScoreParams, q_from_fraction, score
@@ -116,6 +116,13 @@ def _q(flag: str, frac: str, n: int) -> int:
         raise ParameterError(f"{flag}: {exc}") from None
 
 
+def _score(rset, params: ScoreParams, source: str):
+    try:
+        return score(rset, params)
+    except PatternTableTooLargeError as exc:  # counting does not know the file
+        raise PatternTableTooLargeError(f"{source}: {exc}") from None
+
+
 def _run(args: argparse.Namespace) -> str:
     rset = parse_rankings(args.input, args.input_format)
     n = len(rset)
@@ -123,7 +130,7 @@ def _run(args: argparse.Namespace) -> str:
     if args.command in ("score", "patterns", "outliers"):
         q = args.q if args.q is not None else _q("--q-frac", args.q_frac, n)
         params = ScoreParams(q=q, gamma=args.gamma, lam=args.lam)
-        report = score(rset, params)
+        report = _score(rset, params, args.input)
         if args.command == "score":
             return emit_report(report, args.out_format)
         if args.command == "patterns":
@@ -145,7 +152,7 @@ def _run(args: argparse.Namespace) -> str:
             q = _q("--q-fracs", frac, n)
             for gamma in args.gammas:
                 for lam in args.lams:
-                    rep = score(rset, ScoreParams(q=q, gamma=gamma, lam=lam))
+                    rep = _score(rset, ScoreParams(q=q, gamma=gamma, lam=lam), args.input)
                     rows.append({
                         "q": q,
                         "qOverN": frac,

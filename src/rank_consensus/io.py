@@ -2,12 +2,14 @@
 
 Two input formats:
 
-* ``lines`` — one ranking per line, comma-separated items, ties grouped in
-  braces: ``b,{c,d},a``. ``#`` starts a comment.
-* ``preflib`` — preference-library election files: ``#``-prefixed metadata
-  (``ALTERNATIVE NAME i`` entries rename numeric items), then
-  ``count: order`` rows whose orders use the same brace syntax and are
-  repeated ``count`` times.
+* ``lines`` — one ranking per line, ``#`` starting a comment: its items in
+  preference order, separated by ``,``, a tie group written as one item
+  ``{x,y}``: ``b,{c,d},a``. Blanks around items are dropped; an item is
+  never empty, holds none of ``,{}`` and appears once; groups do not nest.
+* ``preflib`` — preference-library election files: ``#``-prefixed metadata,
+  whose ``ALTERNATIVE NAME i`` entries rename numeric items and come before
+  the first vote, then ``count: order`` rows whose orders use the same
+  syntax and are repeated ``count`` times.
 
 Either format holds at most :data:`MAX_VOTES` votes per file.
 
@@ -45,7 +47,6 @@ from .support import RankingSupport, SupportSets
 # ---------------------------------------------------------------------------
 # parsing
 
-_SPECIALS = ",{}"
 # most votes one file may hold, in either format: a lines file's rankings, or
 # the sum of a preflib file's vote counts. Scores and flags are held once
 # per distinct ranking, but a report still prints one row per vote, and its
@@ -58,57 +59,48 @@ _SPECIALS = ",{}"
 MAX_VOTES = 10**6
 
 
-def _parse_ranking(text: str, where: str) -> Ranking:
-    blocks: list[list[str]] = []
-    i = 0
-    n = len(text)
-    pending_comma = False
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ",":
-            raise ParseError(f"{where}: empty item")
-        if ch == "}":
-            raise ParseError(f"{where}: stray '}}'")
-        if ch == "{":
-            close = text.find("}", i + 1)
-            if close < 0:
-                raise ParseError(f"{where}: unclosed '{{'")
-            inner = text[i + 1:close]
-            if "{" in inner:
-                raise ParseError(f"{where}: nested '{{'")
-            tokens = [t.strip() for t in inner.split(",")]
-            if any(not t for t in tokens):
-                raise ParseError(f"{where}: empty item in tie group")
-            blocks.append(tokens)
-            i = close + 1
-        else:
-            j = i
-            while j < n and text[j] not in _SPECIALS:
-                j += 1
-            if j < n and text[j] == "{":
-                raise ParseError(f"{where}: '{{' must start an item")
-            if j < n and text[j] == "}":
-                raise ParseError(f"{where}: stray '}}'")
-            token = text[i:j].strip()
-            if not token:
-                raise ParseError(f"{where}: empty item")
-            blocks.append([token])
-            i = j
-        pending_comma = False
-        while i < n and text[i].isspace():
-            i += 1
-        if i < n:
-            if text[i] != ",":
-                raise ParseError(f"{where}: expected ',' before {text[i]!r}")
-            i += 1
-            pending_comma = True
-    if pending_comma:
-        raise ParseError(f"{where}: trailing ','")
-    if not blocks:
+def _parse_ranking(text: str, where: str) -> list[list[str]]:
+    """The tie blocks of one ranking's text, or a :class:`ParseError` for
+    its first fault from the left."""
+    if not text.strip():
         raise ParseError(f"{where}: empty ranking")
+    blocks: list[list[str]] = []
+    # the plain items before a '{' or the end, each after a ',' but the first
+    run, brace, rest = text.partition("{")
+    items = run.split(",")
+    while True:
+        last = len(items) - 1
+        for k, item in enumerate(items):
+            if "}" in item:
+                raise ParseError(f"{where}: stray '}}'")
+            token = item.strip()
+            if token:
+                if k == last and brace:
+                    raise ParseError(f"{where}: '{{' must start an item")
+                blocks.append([token])
+            elif k < last:
+                raise ParseError(f"{where}: empty item")
+            elif not brace:
+                raise ParseError(f"{where}: trailing ','")
+        if not brace:
+            return blocks
+        inner, close, rest = rest.partition("}")
+        if not close:
+            raise ParseError(f"{where}: unclosed '{{'")
+        if "{" in inner:
+            raise ParseError(f"{where}: nested '{{'")
+        tokens = [t.strip() for t in inner.split(",")]
+        if not all(tokens):
+            raise ParseError(f"{where}: empty item in tie group")
+        blocks.append(tokens)
+        # a group is followed by blanks, then a ',' or the end
+        run, brace, rest = rest.partition("{")
+        lead, *items = run.split(",")
+        if lead.strip() or (brace and not items):
+            raise ParseError(f"{where}: expected ',' before {(lead.strip() or '{')[0]!r}")
+
+
+def _ranking(blocks: list[list[str]], where: str) -> Ranking:
     try:
         return Ranking(blocks)
     except ValueError as exc:
@@ -125,7 +117,7 @@ def _parse_lines(text: str, source: str) -> RankingSet:
         if len(rankings) == MAX_VOTES:
             raise ParseError(f"{where}: this ranking brings the file's total "
                              f"to {MAX_VOTES + 1}, above the limit of {MAX_VOTES}")
-        rankings.append(_parse_ranking(line, where))
+        rankings.append(_ranking(_parse_ranking(line, where), where))
     if not rankings:
         raise ParseError(f"{source}: no rankings found")
     return RankingSet(rankings)
@@ -143,6 +135,8 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
         if line.startswith("#"):
             key, sep, value = line[1:].strip().partition(":")
             if sep and key.strip().upper().startswith("ALTERNATIVE NAME"):
+                if rankings:
+                    raise ParseError(f"{where}: ALTERNATIVE NAME after the first vote")
                 index = key.strip()[len("ALTERNATIVE NAME"):].strip()
                 names[index] = value.strip()
             continue
@@ -163,14 +157,12 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
         if n_votes > MAX_VOTES:
             raise ParseError(f"{where}: vote count {count} brings the file's total "
                              f"to {n_votes}, above the limit of {MAX_VOTES}")
-        ranking = _parse_ranking(order_text, where)
-        if names:
-            try:
-                ranking = Ranking(
-                    [names.get(t, t) for t in block] for block in ranking.blocks
-                )
-            except ValueError as exc:
-                raise ParseError(f"{where}: after renaming: {exc}") from exc
+        blocks = _parse_ranking(order_text, where)
+        try:
+            ranking = Ranking([names.get(t, t) for t in block] for block in blocks)
+        except ValueError as exc:
+            _ranking(blocks, where)  # a fault of the tokens as written comes first
+            raise ParseError(f"{where}: after renaming: {exc}") from exc
         rankings.extend([ranking] * count)
     if not rankings:
         raise ParseError(f"{source}: no rankings found")

@@ -44,21 +44,17 @@ class Ranking:
         norm = tuple(tuple(sorted(block)) for block in blocks)
         if not norm:
             raise ValueError("a ranking needs at least one block")
-        seen: set[str] = set()
-        for block in norm:
+        positions: dict[str, int] = {}
+        for depth, block in enumerate(norm, start=1):
             if not block:
                 raise ValueError("empty tie block")
             for token in block:
                 if not isinstance(token, str) or not token:
                     raise ValueError(f"item tokens must be non-empty strings, got {token!r}")
-                if token in seen:
+                if token in positions:
                     raise ValueError(f"duplicate item {token!r} in ranking")
-                seen.add(token)
-        object.__setattr__(self, "blocks", norm)
-        positions = {}
-        for depth, block in enumerate(norm, start=1):
-            for token in block:
                 positions[token] = depth
+        object.__setattr__(self, "blocks", norm)
         object.__setattr__(self, "_positions", positions)
 
     @classmethod

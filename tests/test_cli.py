@@ -321,8 +321,8 @@ def test_a_pattern_table_over_the_bound_exits_one(example_file, capsys, monkeypa
     monkeypatch.setattr(model, "MAX_ENTRIES", 83)  # the four 6-item rankings own 84
     code, out, err = run(capsys, command, example_file)
     assert (code, out) == (1, "")
-    assert err == ("error: vote 0 ranks 6 items; the distinct rankings would need 84 "
-                   "pattern table entries, above the limit of 83\n")
+    assert err == (f"error: {example_file}: vote 0 ranks 6 items; the distinct rankings "
+                   "would need 84 pattern table entries, above the limit of 83\n")
 
 
 def test_a_ranking_just_over_the_real_bound_exits_one(tmp_path, capsys):
@@ -331,7 +331,7 @@ def test_a_ranking_just_over_the_real_bound_exits_one(tmp_path, capsys):
     path.write_text("a,b\n" + ",".join(f"item{i}" for i in range(2449)) + "\n")
     code, out, err = run(capsys, "score", str(path))
     assert (code, out) == (1, "")
-    assert err == ("error: vote 1 ranks 2449 items; the distinct rankings would need "
+    assert err == (f"error: {path}: vote 1 ranks 2449 items; the distinct rankings would need "
                    "3000028 pattern table entries, above the limit of 3000000\n")
 
 
@@ -434,15 +434,15 @@ def test_closed_stdout_exits_one_with_one_error_line(tmp_path, unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"  # a raw stdout, which accepts short writes
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "rank_consensus.cli", "outliers", str(path),
          "--input-format", "preflib", "--remove"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 1
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
     assert err.startswith("error: cannot write the report: ")
     assert err.count("\n") == 1 and err.endswith("\n")
 

@@ -59,6 +59,11 @@ def test_parse_lines_comment_only_file_is_empty():
         parse_rankings_text("# nothing here\n\n")
 
 
+def exactly(message: str) -> str:
+    """A ``match`` pattern for this whole message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize("bad, message", [
     ("a,,b", "empty item"),
     ("a,b,", "trailing"),
@@ -71,6 +76,16 @@ def test_parse_lines_comment_only_file_is_empty():
     ("{a}b", "expected ','"),
     ("a{b}", "'{' must start an item"),
     ("a,a", "duplicate"),
+    # which fault is reported: the first from the left
+    ("{a}{b}", exactly("<string>:1: expected ',' before '{'")),
+    ("{a} b", exactly("<string>:1: expected ',' before 'b'")),
+    ("{a}}", exactly("<string>:1: expected ',' before '}'")),
+    ("{a},", exactly("<string>:1: trailing ','")),
+    ("a}{b}", exactly("<string>:1: stray '}'")),
+    ("{a},x{b}", exactly("<string>:1: '{' must start an item")),
+    (",}", exactly("<string>:1: empty item")),
+    ("{a,{b", exactly("<string>:1: unclosed '{'")),
+    ("{ , a}", exactly("<string>:1: empty item in tie group")),
 ])
 def test_parse_lines_errors(bad, message):
     with pytest.raises(ParseError, match=message):
@@ -138,6 +153,14 @@ def test_parse_preflib_without_names_keeps_tokens():
     ("\u0663: 1,2\n", "not an integer"),
     ("1,2,3\n", "expected 'count: order'"),
     ("# TITLE: empty\n", "no rankings"),
+    ("# ALTERNATIVE NAME 1: x\n1: 1,1\n",
+     exactly("<string>:2: duplicate item '1' in ranking")),
+    ("# ALTERNATIVE NAME 1: x\n1: 1,x\n",
+     exactly("<string>:2: after renaming: duplicate item 'x' in ranking")),
+    ("3:   \n", exactly("<string>:1: empty ranking")),
+    # a name declared after a vote would split one candidate into two items
+    ("2: 1,2\n# ALTERNATIVE NAME 1: x\n# ALTERNATIVE NAME 2: y\n1: 2,1\n",
+     exactly("<string>:2: ALTERNATIVE NAME after the first vote")),
 ])
 def test_parse_preflib_errors(bad, message):
     with pytest.raises(ParseError, match=message):
