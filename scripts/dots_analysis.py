@@ -17,11 +17,14 @@ DATA_DIR must contain the four preflib .soc files.
 """
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from rank_consensus import (
+    ConsensusError,
     Ranking,
     ScoreParams,
+    detect_outliers,
     parse_rankings,
     q_from_fraction,
     remove_and_rescore,
@@ -29,13 +32,13 @@ from rank_consensus import (
 )
 
 
-def type_deviations(report, rset):
-    """v2 per distinct ranking type; identical votes share one entry."""
-    mean2 = report.overall_kappa2
-    dev = {}
-    for per, ranking in zip(report.per_ranking, rset):
-        dev.setdefault(ranking, (per.kappa2 - mean2) / mean2)
-    return dev
+def type_deviations(report):
+    """``(v2, votes)`` per distinct ranking type, in order of first appearance."""
+    table = report.table
+    votes = Counter(table.type_of)
+    per_type = detect_outliers(report).per_type
+    return {ranking: (v2, votes[t])
+            for t, (ranking, (_, v2, _)) in enumerate(zip(table.types, per_type))}
 
 
 def recovered_order(pairs, tokens):
@@ -64,13 +67,13 @@ def analyse(path: Path) -> None:
     print(f"weighted kappa1(q={q_half}, gamma=0.5) = {weighted.overall_kappa1:.2f}   "
           f"kappa2(q={q_half}, lambda=0.5) = {weighted.overall_kappa2:.2f}")
 
-    deviations = type_deviations(weighted, rset)
+    deviations = type_deviations(weighted)
     n_remove = min(4, len(deviations) - 1)  # always leave at least one type
-    worst = sorted(deviations, key=deviations.get)[:n_remove]
+    worst = sorted(deviations, key=lambda r: deviations[r][0])[:n_remove]
     print("most deviant ranking types (lambda=0.5):")
     for r in worst:
-        count = sum(1 for v in rset if v == r)
-        print(f"  {describe(r, tokens)}  v2={deviations[r]:+.2f}  votes={count}")
+        v2, count = deviations[r]
+        print(f"  {describe(r, tokens)}  v2={v2:+.2f}  votes={count}")
 
     drop = [l for l, r in enumerate(rset) if r in worst]
     rescored = remove_and_rescore(rset, drop, weighted.params)
@@ -92,7 +95,11 @@ def main(argv=None) -> int:
         print(f"no .soc files found in {args.data_dir}", file=sys.stderr)
         return 1
     for path in files:
-        analyse(path)
+        try:
+            analyse(path)
+        except ConsensusError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Complete-ranking Kendall tau and Spearman rho demand strict rankings over a
 shared universe; the top-k variants compare prefixes of possibly different
-lists, handling items missing from one side. All are pairwise measures;
+lists, handling items missing from one side, and at ``k = n`` they are the
+complete measures. All are pairwise measures;
 :func:`pairwise_average` lifts any of them to a per-ranking and overall
 summary of a whole set.
 """
@@ -34,17 +35,6 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def kendall_tau(a: Ranking, b: Ranking) -> float:
-    """Kendall tau over the shared universe: concordant minus discordant pairs."""
-    _require_comparable(a, b)
-    items = sorted(a.item_set)
-    total = 0
-    for x, y in combinations(items, 2):
-        total += _sign(a.position(x) - a.position(y)) * _sign(b.position(x) - b.position(y))
-    n = len(items)
-    return total / (n * (n - 1) / 2)
-
-
 def _pearson(xs: list[float], ys: list[float]) -> float:
     n = len(xs)
     mx = math.fsum(xs) / n
@@ -55,15 +45,6 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
     if vx == 0 or vy == 0:
         raise ParameterError("zero variance in positions; correlation is undefined")
     return num / math.sqrt(vx * vy)
-
-
-def spearman_rho(a: Ranking, b: Ranking) -> float:
-    """Spearman rho over the shared universe: Pearson correlation of positions."""
-    _require_comparable(a, b)
-    items = sorted(a.item_set)
-    xs = [float(a.position(t)) for t in items]
-    ys = [float(b.position(t)) for t in items]
-    return _pearson(xs, ys)
 
 
 @dataclass(frozen=True)
@@ -86,6 +67,11 @@ class TopKParams:
             raise ParameterError(f"p must be in [0, 1], got {self.p}")
         if self.ell is not None and self.ell < self.k + 1:
             raise ParameterError(f"ell must be at least k + 1 = {self.k + 1}, got {self.ell}")
+        # positions are floats: above 2**53 they are no longer exact, by
+        # 10**100 cancellation gives a wrong rho and by 10**155 its sums
+        # overflow
+        if self.ell is not None and self.ell > 2**53:
+            raise ParameterError(f"ell must be at most 2**53 = {2**53}, got {self.ell}")
 
     @property
     def resolved_ell(self) -> int:
@@ -123,10 +109,6 @@ def kendall_tau_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     The sum is normalised by the number of union pairs.
     """
     params.validate()
-    return _kendall_tau_topk(a, b, params)
-
-
-def _kendall_tau_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     pos_a, pos_b = _topk_prefixes(a, b, params.k)
     union = sorted(set(pos_a) | set(pos_b))
     n_pairs = len(union) * (len(union) - 1) // 2
@@ -150,10 +132,6 @@ def spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     (default ``k + 1``), then positions are Pearson-correlated as usual.
     """
     params.validate()
-    return _spearman_rho_topk(a, b, params)
-
-
-def _spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     pos_a, pos_b = _topk_prefixes(a, b, params.k)
     union = sorted(set(pos_a) | set(pos_b))
     if len(union) < 2:
@@ -164,12 +142,25 @@ def _spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     return _pearson(xs, ys)
 
 
+def kendall_tau(a: Ranking, b: Ranking) -> float:
+    """Kendall tau over the shared universe: concordant minus discordant
+    pairs, which is :func:`kendall_tau_topk` at ``k = len(a)``."""
+    _require_comparable(a, b)
+    return kendall_tau_topk(a, b, TopKParams(len(a)))
+
+
+def spearman_rho(a: Ranking, b: Ranking) -> float:
+    """Spearman rho over the shared universe: Pearson correlation of
+    positions, which is :func:`spearman_rho_topk` at ``k = len(a)``."""
+    _require_comparable(a, b)
+    return spearman_rho_topk(a, b, TopKParams(len(a)))
+
+
 _MEASURES = {
     "kendall": lambda a, b, params: kendall_tau(a, b),
     "spearman": lambda a, b, params: spearman_rho(a, b),
-    # pairwise_average validates the top-k parameters once, before its pairs
-    "kendall_topk": _kendall_tau_topk,
-    "spearman_topk": _spearman_rho_topk,
+    "kendall_topk": kendall_tau_topk,
+    "spearman_topk": spearman_rho_topk,
 }
 
 

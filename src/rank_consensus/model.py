@@ -18,6 +18,7 @@ and each weight base's weights of them.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -166,7 +167,7 @@ class PatternTable:
     ``a[lo:hi].reshape(k, -1)`` is one row of cells per type. Per entry,
     ``count`` is the pattern's support, ``total`` sums its position
     (``diag``) or its gap over the rankings that contain it, and ``value`` is
-    the type's own position or gap. ``deviations`` and ``weight_memo`` hold
+    the type's own position or gap. ``deviations`` and :meth:`weights` give
     the deviation weights, computed on first use. All arrays are read-only.
     """
 
@@ -177,9 +178,19 @@ class PatternTable:
     value: np.ndarray
     diag: np.ndarray
     by_length: tuple[tuple[int, np.ndarray, int, int], ...]
-    # weight base -> weight of each distinct deviation, filled by support.py;
+    # weight base -> weight of each distinct deviation, filled by weights();
     # threads racing on one base only compute equal arrays twice
     weight_memo: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def weights(self, base: float) -> np.ndarray:
+        """``_weight`` of each distinct deviation of the entries; every one is
+        exponentiated once per base per table."""
+        weights = self.weight_memo.get(base)
+        if weights is None:
+            weights = np.array([_weight(base, d) for d in self.deviations[0].tolist()])
+            weights.flags.writeable = False
+            self.weight_memo[base] = weights
+        return weights
 
     @cached_property
     def deviations(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +204,13 @@ class PatternTable:
         """
         # exact integer numerator; no temporary outlives the expression
         return unique_inverse(np.abs(self.value * self.count - self.total) / self.count)
+
+
+def _weight(base: float, deviation: float) -> float:
+    # base == 1 short-circuits so plain mode yields exactly 1.0
+    if base == 1.0 or deviation == 0.0:
+        return 1.0
+    return math.exp(deviation * math.log(base))
 
 
 def unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,10 +247,12 @@ def unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # whole count of sweep (900 possible keys, 223 431 entries) takes 21 ms
 # instead of 31, of retrieval (303 601 and 252 500) 17 ms instead of 28
 _DENSE_KEYS = 2
-# most cells one step of the count gathers at once: each temporary array is
-# then at most 256 KB, where a whole length at once (fifty 100-item lists)
-# peaked 5.6 MB higher
-_COUNT_CELLS = 1 << 15
+# most bytes one step over the distinct rankings of one length may take, read
+# whenever the table is counted or its batches filled: 8 per cell for the
+# count's int64 arrays, where a whole length at once (fifty 100-item lists)
+# peaked 5.6 MB higher, and 8 + 1 per matrix cell for support.fill's float
+# and bool batches, where 16 MB batches peaked 2.2 MB higher
+_STEP_BYTES = 1 << 18
 # most entries the pattern table of one set may have; each distinct ranking of
 # m items owns m(m+1)/2, so one ranking may hold up to 2448 items. The
 # heaviest commands, `score` and `patterns` as JSON at q = 1, print every
@@ -295,7 +315,7 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
         diag[lo:hi].reshape(len(group), len(rows))[:] = on_diag
         weight[lo:hi] = np.repeat(times[group], len(rows))
         lo = hi
-        step = max(1, _COUNT_CELLS // len(rows))
+        step = max(1, _STEP_BYTES // (8 * len(rows)))
         for i in range(0, len(group), step):
             part = group[i:i + step]
             members = [types[t]._positions for t in part.tolist()]

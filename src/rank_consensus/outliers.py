@@ -47,11 +47,6 @@ class OutlierReport:
         return tuple(RankingDeviation(l, *rows[t])
                      for l, t in enumerate(self.consensus.type_of))
 
-    @property
-    def flags(self) -> list[bool]:
-        rows = self.per_type
-        return [rows[t][2] for t in self.consensus.type_of]
-
     @cached_property
     def flagged_indices(self) -> list[int]:
         flagged = [row[2] for row in self.per_type]

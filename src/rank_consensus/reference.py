@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import RankingSet
-from .support import (
-    RankingSupport,
-    SupportMatrix,
-    SupportSets,
-    _check_params,
-    _weight,
-)
+from .model import RankingSet, _weight
+from .support import RankingSupport, SupportMatrix, SupportSets, _check_params
 
 
 def _deviation(value: int, total: int, count: int) -> float:

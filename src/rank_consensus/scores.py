@@ -16,10 +16,11 @@ their length-by-length layout, deviation weights) is kept with the set, so
 scoring one set at many grid points, as ``sweep`` does, pays per point only
 for thresholding, weighting, filling and reducing. A report holds just the
 set's table, its parameters and the per-type scores, so a kept report
-adds no array the size of the table. Its per-vote rows, its
-supported-pattern sets, read off the table once per distinct ranking, and
-its per-vote matrices with their bool ``supported`` masks are built only
-when first read, and no command reads the matrices.
+adds no array the size of the table. Its per-vote rows and its
+supported-pattern sets, read off the table once per distinct ranking, are
+built only when first read; the per-vote matrices are
+:func:`~rank_consensus.support.support_matrices_fast`'s, which no command
+calls.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .model import PatternTable, RankingSet
 # support_matrices_fast and support_sets are not called here, but
 # perfbench/spans.py traces them under this module's name
 from .reference import support_sets  # noqa: F401
-from .support import SupportMatrix, SupportSets, support_matrices_fast  # noqa: F401
+from .support import SupportSets, support_matrices_fast  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,10 @@ class ConsensusReport:
     Scores are held once per distinct ranking: ``kappa1``/``kappa2`` are
     indexed by type, and ``type_of[l]`` is the type of vote ``l``. Besides
     them a report holds just the set's pattern ``table`` and the ``params``;
-    the per-vote views (``per_ranking``, ``matrices``) and the
-    supported-pattern ``sets``, read off the table per distinct ranking,
-    are built from those two the first time they are read, so runs whose
-    output never prints them neither pay for them nor keep them.
+    the per-vote ``per_ranking`` and the supported-pattern ``sets``, read
+    off the table per distinct ranking, are built from those two the first
+    time they are read, so runs whose output never prints them neither pay
+    for them nor keep them.
     ``original_indices`` records, for a report of
     :func:`~rank_consensus.outliers.remove_and_rescore`, the index in the
     original set of each vote it scored; it is ``None`` for a report of a
@@ -138,11 +139,6 @@ class ConsensusReport:
     def per_ranking(self) -> tuple[RankingScore, ...]:
         rows = self.per_type
         return tuple(RankingScore(l, *rows[t]) for l, t in enumerate(self.type_of))
-
-    @cached_property
-    def matrices(self) -> tuple[SupportMatrix, ...]:
-        p = self.params
-        return tuple(support.matrices(self.table, p.q, p.gamma, p.lam))
 
     @cached_property
     def sets(self) -> SupportSets:

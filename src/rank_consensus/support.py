@@ -18,19 +18,19 @@ each from one contiguous slice of the weights; they agree entrywise with
 the full-scan oracle in :mod:`~rank_consensus.reference`. Scores reduce
 each batch as it is filled and drop it. :func:`sets` reads the supported
 patterns, the entries whose count reaches ``q``, off each length's slice of
-the counts, per distinct ranking and with no matrix. :func:`matrices` and
-:func:`support_matrices_fast` are per-vote views of filled batches, in which
-duplicate rankings share one matrix, for tests and inspection; only they
-fill the bool ``supported`` matrices.
+the counts, per distinct ranking and with no matrix.
+:func:`support_matrices_fast` is the one per-vote view of filled batches, in
+which duplicate rankings share one matrix, for tests and inspection; only it
+fills the bool ``supported`` matrices.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import ParameterError
 from .model import PatternTable, RankingSet, lower_triangle
 
@@ -56,10 +56,6 @@ class SupportMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.entries))
-
-    @property
-    def off_diagonal_sum(self) -> float:
-        return float(self.entries.sum() - np.trace(self.entries))
 
 
 @dataclass(frozen=True)
@@ -96,32 +92,6 @@ def _check_params(rset: RankingSet, q: int, gamma: float, lam: float) -> None:
             raise ParameterError(f"{name} must be in (0, 1], got {value}")
 
 
-def _weight(base: float, deviation: float) -> float:
-    # base == 1 short-circuits so plain mode yields exactly 1.0
-    if base == 1.0 or deviation == 0.0:
-        return 1.0
-    return math.exp(deviation * math.log(base))
-
-
-def _deviation_weights(table: PatternTable, base: float) -> np.ndarray:
-    """``_weight`` of each distinct deviation of the table's entries; every
-    one is exponentiated once per base per table."""
-    weights = table.weight_memo.get(base)
-    if weights is None:
-        weights = np.array([_weight(base, d) for d in table.deviations[0].tolist()])
-        weights.flags.writeable = False
-        table.weight_memo[base] = weights
-    return weights
-
-
-# most bytes the float matrices of one batch, and the bool ones once a view
-# fills them, may take; read whenever batches are filled. The distinct
-# rankings of one length that need more are split over several batches: with
-# 16 MB batches, fifty 100-item lists peaked 2.2 MB higher than with one
-# matrix at a time
-_BATCH_BYTES = 1 << 18
-
-
 def fill(table: PatternTable, q: int, gamma: float,
          lam: float) -> Iterator[tuple[np.ndarray, slice, np.ndarray]]:
     """The weight matrices of the table's distinct rankings, batch by batch.
@@ -130,8 +100,8 @@ def fill(table: PatternTable, q: int, gamma: float,
     ``(group, cells, entries)``: the type indices of ``k`` distinct rankings
     of one length ``m``, the slice of the table entries they own, and their
     fresh read-only ``(k, m, m)`` weight matrices, filled by fancy indexing
-    from that slice. Batches split under ``_BATCH_BYTES`` as it is when this
-    is called. The parameters are not checked here.
+    from that slice. Batches split under ``model._STEP_BYTES`` as it is when
+    this is called. The parameters are not checked here.
     """
     if (gamma, lam) == (1.0, 1.0):
         weights = (table.count >= q).astype(float)
@@ -141,15 +111,13 @@ def fill(table: PatternTable, q: int, gamma: float,
         # in per call and its 12 calls took ~50 ms in process, not ~35.
         # The first weighted call ranks the deviations before making it
         index = table.deviations[1]
-        weights = (np.ones(len(index)) if lam == 1.0
-                   else _deviation_weights(table, lam)[index])
+        weights = np.ones(len(index)) if lam == 1.0 else table.weights(lam)[index]
         diag = table.diag
-        weights[diag] = (1.0 if gamma == 1.0
-                         else _deviation_weights(table, gamma)[index[diag]])
+        weights[diag] = 1.0 if gamma == 1.0 else table.weights(gamma)[index[diag]]
         weights *= table.count >= q  # w * 1.0 is w, and unsupported is 0.0
     for m, group, lo, _ in table.by_length:
         rows, cols = lower_triangle(m)
-        step = max(1, _BATCH_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
+        step = max(1, model._STEP_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
         for start in range(0, len(group), step):
             part = group[start:start + step]
             cells = slice(lo + start * len(rows), lo + (start + len(part)) * len(rows))
@@ -157,20 +125,6 @@ def fill(table: PatternTable, q: int, gamma: float,
             entries[:, rows, cols] = weights[cells].reshape(len(part), len(rows))
             entries.flags.writeable = False
             yield part, cells, entries
-
-
-def matrices(table: PatternTable, q: int, gamma: float, lam: float) -> list[SupportMatrix]:
-    """One matrix per vote; the votes of one distinct ranking share its
-    read-only views into the filled batches."""
-    shared: list[tuple] = [()] * len(table.types)
-    for group, cells, entries in fill(table, q, gamma, lam):
-        rows, cols = lower_triangle(entries.shape[1])
-        mask = np.zeros(entries.shape, dtype=bool)
-        mask[:, rows, cols] = (table.count[cells] >= q).reshape(len(group), len(rows))
-        mask.flags.writeable = False
-        for t, e, s in zip(group.tolist(), entries, mask):
-            shared[t] = (table.types[t].items, e, s)
-    return [SupportMatrix(l, *shared[t]) for l, t in enumerate(table.type_of)]
 
 
 def sets(table: PatternTable, q: int) -> SupportSets:
@@ -207,4 +161,13 @@ def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
     ``supported`` array.
     """
     _check_params(rset, q, gamma, lam)
-    return matrices(rset.pattern_stats, q, gamma, lam)
+    table = rset.pattern_stats
+    shared: list[tuple] = [()] * len(table.types)
+    for group, cells, entries in fill(table, q, gamma, lam):
+        rows, cols = lower_triangle(entries.shape[1])
+        mask = np.zeros(entries.shape, dtype=bool)
+        mask[:, rows, cols] = (table.count[cells] >= q).reshape(len(group), len(rows))
+        mask.flags.writeable = False
+        for t, e, s in zip(group.tolist(), entries, mask):
+            shared[t] = (table.types[t].items, e, s)
+    return [SupportMatrix(l, *shared[t]) for l, t in enumerate(table.type_of)]

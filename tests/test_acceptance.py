@@ -70,8 +70,9 @@ def test_criterion_1_worked_example_golden():
         assert f"{rep.overall_kappa1:.2f}" == "0.92"
         assert f"{rep.overall_kappa2:.2f}" == "0.60"
 
+        mats = support_matrices_fast(EXAMPLE, 3)
         for l, expected in EXPECTED_Q3.items():
-            np.testing.assert_array_equal(rep.matrices[l].entries, np.array(expected, float))
+            np.testing.assert_array_equal(mats[l].entries, np.array(expected, float))
 
         assert rep.sets.singles == frozenset("abcdef")
         assert rep.sets.pairs == {
@@ -143,9 +144,9 @@ def test_criterion_3_score_properties():
                     assert rep.overall_kappa2 <= previous.overall_kappa2 + 1e-15
                 previous = rep
                 # (f) trace/sum evaluation == direct set counting
-                for mat, per in zip(rep.matrices, rep.sets.per_ranking):
+                for mat, per in zip(support_matrices_fast(rset, q), rep.sets.per_ranking):
                     assert mat.trace == len(per.singles)
-                    assert mat.off_diagonal_sum == len(per.pairs)
+                    assert float(mat.entries.sum()) - mat.trace == len(per.pairs)
             # (c) weighting can only lower scores; gamma=lam=1 changes nothing
             q = rng.randint(1, n)
             plain = score(rset, ScoreParams(q=q))

@@ -125,6 +125,11 @@ def test_topk_params_validation():
         TopKParams(k=2, p=-0.1).validate()
     with pytest.raises(ParameterError):
         TopKParams(k=2, ell=2).validate()
+    # positions are floats, exact only up to 2**53
+    TopKParams(k=2, ell=2**53).validate()
+    for ell in (2**53 + 1, 10**155, 10**309):
+        with pytest.raises(ParameterError, match=r"^ell must be at most 2\*\*53"):
+            TopKParams(k=2, ell=ell).validate()
 
 
 def test_topk_k_exceeding_length_rejected():

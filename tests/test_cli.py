@@ -128,6 +128,7 @@ def test_correlate_requires_topk_flag(example_file, capsys):
     ("--measure", "kendall_topk", "--topk", "0"),
     ("--measure", "kendall_topk", "--topk", "3", "--penalty", "2"),
     ("--measure", "spearman_topk", "--topk", "3", "--ell", "1"),
+    ("--measure", "spearman_topk", "--topk", "2", "--ell", str(10**155)),
 ])
 def test_topk_parameter_errors_name_no_ranking_pair(example_file, capsys, argv):
     code, out, err = run(capsys, "correlate", example_file, *argv)
@@ -338,30 +339,9 @@ def test_a_ranking_just_over_the_real_bound_exits_one(tmp_path, capsys):
 threshold_text = st.one_of(
     st.text(max_size=12),
     st.text(st.sampled_from("0123456789./-+e_ nainf,"), max_size=12),
+    st.integers(-10**400, 10**400).map(str),
+    st.just("9" * 400),
 )
-
-
-@settings(max_examples=150, deadline=None)
-@given(text=threshold_text, flag=st.sampled_from([
-    ("score", "--q-frac"), ("score", "--gamma"), ("outliers", "--lambda"),
-    ("sweep", "--q-fracs"), ("sweep", "--gammas"),
-]))
-@example(text="--", flag=("score", "--q-frac"))
-@example(text="--", flag=("score", "--gamma"))
-@example(text="--", flag=("outliers", "--lambda"))
-@example(text="--", flag=("sweep", "--q-fracs"))
-@example(text="--", flag=("sweep", "--gammas"))
-def test_any_parameter_text_exits_zero_or_one(workdir, text, flag):
-    path = workdir / "rankings.txt"
-    path.write_text("a,b,c\nb,a,c\na,c\n")
-    command, option = flag
-    code, out, err = run_captured([command, str(path), f"{option}={text}"])
-    assert code in (0, 1)
-    if code:
-        assert out == ""
-        assert err
-    else:
-        assert out and err == ""
 
 
 def value_options():
@@ -372,6 +352,33 @@ def value_options():
             for command, parser in sub.choices.items()
             for action in parser._actions
             if action.option_strings and action.nargs is None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=threshold_text, flag=st.sampled_from(value_options()),
+       measure=st.sampled_from(["kendall_topk", "spearman_topk"]))
+@example(text="--", flag=("score", "--q-frac"), measure="kendall_topk")
+@example(text="--", flag=("score", "--gamma"), measure="kendall_topk")
+@example(text="--", flag=("outliers", "--lambda"), measure="kendall_topk")
+@example(text="--", flag=("sweep", "--q-fracs"), measure="kendall_topk")
+@example(text="--", flag=("sweep", "--gammas"), measure="kendall_topk")
+@example(text=str(10**100), flag=("correlate", "--ell"), measure="spearman_topk")
+@example(text=str(10**155), flag=("correlate", "--ell"), measure="spearman_topk")
+@example(text="9" * 400, flag=("correlate", "--ell"), measure="spearman_topk")
+def test_any_parameter_text_exits_zero_or_one(workdir, text, flag, measure):
+    path = workdir / "rankings.txt"
+    path.write_text("a,b,c\nb,a,c\na,c\n")
+    command, option = flag
+    # a top-k measure needs --topk; a drawn --measure or --topk comes later
+    # and so replaces these
+    needs = ["--measure", measure, "--topk", "2"] if command == "correlate" else []
+    code, out, err = run_captured([command, str(path), *needs, f"{option}={text}"])
+    assert code in (0, 1)
+    if code:
+        assert out == ""
+        assert err
+    else:
+        assert out and err == ""
 
 
 @pytest.mark.parametrize("command, flag", value_options())
@@ -398,7 +405,8 @@ def test_commands_build_no_matrix_and_call_no_oracle(example_file, capsys, monke
     def refuse(*args, **kwargs):
         raise AssertionError("a command built per-vote matrices or called the oracle")
 
-    monkeypatch.setattr(support, "matrices", refuse)
+    for module in (support, scores):
+        monkeypatch.setattr(module, "support_matrices_fast", refuse)
     for name in ("support_sets", "support_matrix_naive"):
         monkeypatch.setattr(reference, name, refuse)
     monkeypatch.setattr(scores, "support_sets", refuse)

@@ -36,7 +36,7 @@ def test_relative_deviations_on_example(example_set):
         pytest.approx(1 / 9), pytest.approx(1 / 9),
         pytest.approx(-4 / 9), pytest.approx(2 / 9),
     ]
-    assert out.flags == [False, False, True, False]
+    assert [d.flagged for d in out.per_ranking] == [False, False, True, False]
     assert out.flagged_indices == [2]
     assert out.n_flagged == 1
 
@@ -52,17 +52,17 @@ def test_threshold_comparison_is_strict(example_set):
     v = detect_outliers(rep, eps1=10.0, eps2=10.0).per_ranking[2].v2
     # an epsilon equal to |v| must not flag (v < -eps is strict) ...
     at = detect_outliers(rep, eps1=10.0, eps2=-v)
-    assert at.flags == [False, False, False, False]
+    assert [d.flagged for d in at.per_ranking] == [False, False, False, False]
     # ... while any smaller epsilon must
     below = detect_outliers(rep, eps1=10.0, eps2=-v - 1e-12)
-    assert below.flags == [False, False, True, False]
+    assert [d.flagged for d in below.per_ranking] == [False, False, True, False]
 
 
 def test_either_score_can_flag(example_set):
     rep = score(example_set, ScoreParams(q=3))
     # v1 of ranking 2 is -3/11; tighten eps1 below that with eps2 loose
     out = detect_outliers(rep, eps1=0.2, eps2=10.0)
-    assert out.flags == [False, False, True, False]
+    assert [d.flagged for d in out.per_ranking] == [False, False, True, False]
 
 
 def test_epsilons_must_be_positive(example_set):

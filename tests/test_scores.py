@@ -32,7 +32,7 @@ def test_plain_scores_on_example(example_set):
     assert rep.overall_kappa1 == pytest.approx(11 / 12)
     assert rep.overall_kappa2 == pytest.approx(0.6)
     assert rep.n_rankings == 4
-    assert len(rep.matrices) == 4
+    assert len(support_matrices_fast(example_set, 3)) == 4
     assert rep.sets.singles == frozenset("abcdef")
 
 
@@ -111,8 +111,8 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
     reports = [score(rset, ScoreParams(q=q, gamma=g, lam=lam)) for q, g, lam in grid]
     assert len(reports) == 12
     assert calls == []
-    for rep in reports:
-        assert rep.sets == reference.support_sets(list(rep.matrices))
+    for (q, g, lam), rep in zip(grid, reports):
+        assert rep.sets == reference.support_sets(support_matrices_fast(rset, q, gamma=g, lam=lam))
         assert rep.sets is rep.sets
     assert len(calls) == 12
 
@@ -154,7 +154,7 @@ def test_batched_kappas_equal_per_matrix_reductions(budget, rset, gamma, lam):
             eager = support_matrices_fast(rset, q, gamma=g, lam=lm)
             with pytest.MonkeyPatch.context() as mp:
                 if budget is not None:
-                    mp.setattr(support, "_BATCH_BYTES", budget)
+                    mp.setattr(model, "_STEP_BYTES", budget)
                 rep = score(rset, ScoreParams(q=q, gamma=g, lam=lm))
             kappa1, kappa2 = [], []
             for mat, rs in zip(eager, rep.per_ranking):
@@ -199,14 +199,10 @@ def test_per_vote_views_are_built_only_when_read(monkeypatch):
     first = {r: rset.rankings.index(r) for r in kinds}
     for (q, g, lam), rep in zip(grid, reports):
         eager = eager_matrices(rset, q, gamma=g, lam=lam)
-        mats = rep.matrices
-        assert mats is rep.matrices
-        for l, (mat, want) in enumerate(zip(mats, eager)):
-            assert (mat.owner, mat.items) == (want.owner, want.items) == (l, rset[l].items)
-            assert np.array_equal(mat.entries, want.entries)
-            assert np.array_equal(mat.supported, want.supported)
+        for l, mat in enumerate(eager):
+            assert (mat.owner, mat.items) == (l, rset[l].items)
             k = first[rset[l]]
-            assert mat.entries is mats[k].entries and mat.supported is mats[k].supported
+            assert mat.entries is eager[k].entries and mat.supported is eager[k].supported
             for a in (mat.entries, mat.supported):
                 with pytest.raises(ValueError):
                     a[0, 0] = 0
@@ -219,7 +215,7 @@ def test_per_vote_views_are_built_only_when_read(monkeypatch):
             trace = float(np.trace(mat.entries))
             kappa2 = (float(mat.entries.sum()) - trace) / n_pairs if n_pairs else 0.0
             assert rs == real_score(l, m, n_pairs, trace / m, kappa2, not n_pairs)
-    assert matrix_calls == []  # the views read the batches the scores came from
+    assert matrix_calls == []  # neither the scores nor their rows build matrices
 
 
 def test_cached_state_cannot_change_results():
@@ -251,7 +247,9 @@ def test_cached_state_cannot_change_results():
     cached += [group for _, group, _, _ in table.by_length]
     for rep in runs[0].values():
         cached += [rep.kappa1, rep.kappa2]
-        cached += [a for mat in rep.matrices for a in (mat.entries, mat.supported)]
+        p = rep.params
+        cached += [a for mat in support_matrices_fast(rset, p.q, gamma=p.gamma, lam=p.lam)
+                   for a in (mat.entries, mat.supported)]
     for a in cached:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
@@ -273,14 +271,8 @@ def test_kept_reports_hold_no_table_sized_state():
     finally:
         tracemalloc.stop()
     assert all(b - a < 2 * n for a, b in zip(live, live[1:])), np.diff(live) / n
-    for (q, g, lam), rep in zip(grid, reports):
-        assert "matrices" not in vars(rep) and "sets" not in vars(rep)
-        eager = support_matrices_fast(rset, q, gamma=g, lam=lam)
-        assert rep.matrices is rep.matrices
-        for mat, want in zip(rep.matrices, eager):
-            assert (mat.owner, mat.items) == (want.owner, want.items)
-            assert np.array_equal(mat.entries, want.entries)
-            assert np.array_equal(mat.supported, want.supported)
+    for rep in reports:
+        assert "sets" not in vars(rep)
 
 
 def test_invalid_params_rejected(example_set):

@@ -45,3 +45,15 @@ def test_dots_analysis_drops_the_votes_of_the_deviant_types(tmp_path, capsys):
         assert n == sum(votes.values())
         assert len(dropped) == 4
         assert n_left == n - sum(dropped)
+
+
+def test_dots_analysis_exits_one_when_no_pair_is_supported(tmp_path, capsys):
+    # every item is in two of the four votes but every pair in only one, so
+    # the weighted kappa2 mean at q = 2 is 0 and v2 is undefined
+    names = "".join(f"# ALTERNATIVE NAME {i}: dots{i}\n" for i in range(1, 5))
+    (tmp_path / "flat.soc").write_text(names + "1: 1,2\n1: 3,4\n1: 1,3\n1: 2,4\n")
+    dots = load_script("dots_analysis")
+    assert dots.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: relative deviations are undefined")
+    assert err.count("\n") == 1
