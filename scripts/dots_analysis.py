@@ -97,7 +97,7 @@ def main(argv=None) -> int:
     for path in files:
         try:
             analyse(path)
-        except ConsensusError as exc:
+        except (ConsensusError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     return 0

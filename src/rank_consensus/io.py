@@ -16,12 +16,13 @@ Either format holds at most :data:`MAX_VOTES` votes per file.
 Reports serialise to JSON (full-precision floats plus 2-decimal display
 strings) or CSV. Both are deterministic: equal inputs give byte-equal
 output. JSON is laid out here, byte for byte as ``json.dumps`` lays it out
-with ``indent=2``. Votes that repeat a ranking repeat its per-vote rows, so each
-distinct ranking's row is rendered once, and each run of consecutive votes
-of one ranking (a preflib ``count:`` line is one) becomes a single join of
-that text over the votes' indices, at most :data:`_JOIN_VOTES` votes per
-join. A report is returned as one string, joined from these pieces; the
-CLI writes it out in slices.
+with ``indent=2``. Supported patterns are printed in the sorted order the
+report holds them in. Votes that repeat a ranking repeat its per-vote rows,
+so each distinct ranking's row is rendered once, and each run of consecutive
+votes of one ranking (a preflib ``count:`` line is one) becomes a single
+join of that text over the votes' indices, at most :data:`_JOIN_VOTES`
+votes per join. A report is returned as one string, joined from these
+pieces; the CLI writes it out in slices.
 """
 from __future__ import annotations
 
@@ -34,8 +35,6 @@ from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from types import SimpleNamespace
-
-import numpy as np
 
 from .baselines import PairwiseAverages
 from .errors import ParameterError, ParseError
@@ -53,8 +52,8 @@ from .support import RankingSupport, SupportSets
 # text is held twice while it is joined from its pieces. At 200 000 votes
 # over the README's 4 rankings at q = N/2, `score` peaks at 48 MB as CSV
 # (7 MB of text) and `outliers --remove` at 72 MB (15 MB); as JSON they peak
-# at 442 MB (212 MB of text) and 280 MB (121 MB), and `patterns` peaks at
-# 139 MB as CSV (53 MB), each the process's own peak from `os.wait4`. The
+# at 440 MB (213 MB of text) and 280 MB (121 MB), and `patterns` peaks at
+# 137 MB as CSV (53 MB), each the process's own peak from `os.wait4`. The
 # JSON of `score` would so need about 2.2 GB at this cap
 MAX_VOTES = 10**6
 
@@ -123,6 +122,11 @@ def _parse_lines(text: str, source: str) -> RankingSet:
     return RankingSet(rankings)
 
 
+def _clip(digits: str) -> str:
+    # a vote count as a message quotes it: its first 20 characters at most
+    return digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} characters)"
+
+
 def _parse_preflib(text: str, source: str) -> RankingSet:
     names: dict[str, str] = {}
     rankings: list[Ranking] = []
@@ -144,15 +148,19 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
         if not sep:
             raise ParseError(f"{where}: expected 'count: order'")
         count_text = count_text.strip()
-        try:
-            # int() also reads "1_000", "+3" and non-ASCII digits
-            if not (count_text.isascii() and count_text.removeprefix("-").isdigit()):
-                raise ValueError
-            count = int(count_text)
-        except ValueError:
-            raise ParseError(f"{where}: vote count {count_text!r} is not an integer") from None
-        if count <= 0:
-            raise ParseError(f"{where}: vote count must be positive, got {count}")
+        digits = count_text.removeprefix("-")
+        # int() also reads "1_000", "+3" and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"{where}: vote count {count_text!r} is not an integer")
+        # and refuses more than 4 300 digits, leading zeros included, so a
+        # count is sized by its significant digits before int() reads them
+        significant = digits.lstrip("0")
+        if digits != count_text or not significant:
+            raise ParseError(f"{where}: vote count must be positive, got {_clip(count_text)}")
+        if len(significant) > len(str(MAX_VOTES)):
+            raise ParseError(f"{where}: vote count {_clip(significant)} is above "
+                             f"the limit of {MAX_VOTES}")
+        count = int(significant)
         n_votes += count
         if n_votes > MAX_VOTES:
             raise ParseError(f"{where}: vote count {count} brings the file's total "
@@ -403,31 +411,24 @@ def _csv_table(head: str, rows: _Rows) -> str:
     return "".join(out)
 
 
-def _support_rows(report: ConsensusReport, fields: Callable) -> _Rows:
-    """Rows of each vote's supported patterns, held once per type."""
-    first = np.unique(report.type_of, return_index=True)[1]
-    per_ranking = report.sets.per_ranking
-    return _Rows(report.type_of, [per_ranking[i] for i in first.tolist()], fields)
-
-
 def _sets_payload(report: ConsensusReport) -> dict:
     sets = report.sets
     return {
-        "singles": sorted(sets.singles),
-        "pairs": sorted(sets.pairs),
-        "per_ranking": _support_rows(report, _support_fields),
+        "singles": sets.singles,
+        "pairs": sets.pairs,
+        "per_ranking": _Rows(report.type_of, sets.per_type, _support_fields),
     }
 
 
 def _pattern_cells(support: RankingSupport | SupportSets) -> list[list]:
-    return [*(["single", x, ""] for x in sorted(support.singles)),
-            *(["pair", x, y] for x, y in sorted(support.pairs))]
+    return [*(["single", x, ""] for x in support.singles),
+            *(["pair", x, y] for x, y in support.pairs)]
 
 
 def _support_fields(support: RankingSupport) -> dict:
     return {
-        "singles": sorted(support.singles),
-        "pairs": sorted(support.pairs),
+        "singles": support.singles,
+        "pairs": support.pairs,
     }
 
 
@@ -538,7 +539,7 @@ def emit_patterns(report: ConsensusReport, fmt: str = "json") -> str:
     if fmt == "csv":
         head = _csv([["scope", "kind", "first", "second"],
                      *(["set", *cells] for cells in _pattern_cells(report.sets))])
-        return _csv_table(head, _support_rows(report, _pattern_cells))
+        return _csv_table(head, _Rows(report.type_of, report.sets.per_type, _pattern_cells))
     payload = {"q": report.params.q, "n_rankings": report.n_rankings}
     payload.update(_sets_payload(report))
     return _json(payload)

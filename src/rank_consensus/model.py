@@ -256,11 +256,11 @@ _STEP_BYTES = 1 << 18
 # most entries the pattern table of one set may have; each distinct ranking of
 # m items owns m(m+1)/2, so one ranking may hold up to 2448 items. The
 # heaviest commands, `score` and `patterns` as JSON at q = 1, print every
-# entry as a supported pattern: on one strict ranking of 124 750 and 249 571
-# entries they peak at 98 and 164 MB, about 570 bytes per entry over the
-# 31 MB of a tiny input (each the process's own peak from `os.wait4`). At
-# this cap they would so need about 1.7 GB, or 1.9 GB at the 630 bytes per
-# entry seen at 374 545 entries; `score` as CSV needs about a sixth of that
+# entry as a supported pattern: on one strict ranking of 124 750, 249 571
+# and 374 545 entries `score` peaks at 101, 155 and 235 MB, 520 to 590 bytes
+# per entry over the 30 MB of a tiny input (each the process's own peak
+# from `os.wait4`). At this cap it would so need about 1.6 to 1.8 GB;
+# `score` as CSV needs about a sixth of that
 MAX_ENTRIES = 3 * 10**6
 
 

@@ -8,6 +8,7 @@ the mean.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -65,8 +66,9 @@ def detect_outliers(report: ConsensusReport, eps1: float = 0.4, eps2: float = 0.
     Deviations are computed once per distinct ranking.
     """
     for name, value in (("eps1", eps1), ("eps2", eps2)):
-        if not value > 0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+        # a report prints them, and JSON has no infinity
+        if not 0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
     mean1 = report.overall_kappa1
     mean2 = report.overall_kappa2
     if all(len(ranking) == 1 for ranking in report.table.types):

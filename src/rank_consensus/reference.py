@@ -4,8 +4,9 @@ Nothing in the package calls these; the tests check the table-read routes
 of :mod:`~rank_consensus.support` and :mod:`~rank_consensus.scores`
 against them. :func:`support_matrix_naive` builds one ranking's support
 matrix with a full scan of the set for every entry, :func:`support_sets`
-reads the supported-pattern sets off a list of matrices, and the mean and
-deviation helpers rescan the set for one item or pattern.
+reads the supported patterns off a list of matrices, one type per matrix
+and sorted as the table-read sets are, and the mean and deviation helpers
+rescan the set for one item or pattern.
 """
 from __future__ import annotations
 
@@ -64,28 +65,21 @@ def support_matrix_naive(l: int, rset: RankingSet, q: int,
 
 
 def support_sets(matrices: list[SupportMatrix]) -> SupportSets:
-    """Read the supported-pattern sets off the matrices of one ranking set.
-
-    Matrices that share one ``supported`` array (duplicate rankings) share
-    one :class:`RankingSupport`.
-    """
-    # keyed by array identity: every matrix, so every key, outlives the loop
-    distinct: dict[int, RankingSupport] = {}
+    """Read the supported-pattern sets off the matrices of one ranking set,
+    in the sorted shape :func:`~rank_consensus.support.sets` gives them,
+    with each matrix as its own type."""
     per = []
     for mat in matrices:
-        support = distinct.get(id(mat.supported))
-        if support is None:
-            items = mat.items
-            rows, cols = np.nonzero(mat.supported)
-            cells = list(zip(cols.tolist(), rows.tolist()))
-            support = distinct[id(mat.supported)] = RankingSupport(
-                singles=frozenset(items[i] for i, j in cells if i == j),
-                pairs=frozenset((items[i], items[j]) for i, j in cells if i < j),
-            )
-        per.append(support)
-    singles = frozenset().union(*(p.singles for p in distinct.values()))
-    pairs = frozenset().union(*(p.pairs for p in distinct.values()))
-    return SupportSets(singles=singles, pairs=pairs, per_ranking=tuple(per))
+        items = mat.items
+        rows, cols = np.nonzero(mat.supported)
+        cells = list(zip(cols.tolist(), rows.tolist()))
+        per.append(RankingSupport(
+            singles=tuple(sorted(items[i] for i, j in cells if i == j)),
+            pairs=tuple(sorted((items[i], items[j]) for i, j in cells if i < j)),
+        ))
+    singles = tuple(sorted(set().union(*(p.singles for p in per))))
+    pairs = tuple(sorted(set().union(*(p.pairs for p in per))))
+    return SupportSets(singles=singles, pairs=pairs, per_type=tuple(per))
 
 
 def mean_position(x: str, rset: RankingSet) -> float:

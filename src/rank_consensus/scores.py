@@ -16,9 +16,9 @@ their length-by-length layout, deviation weights) is kept with the set, so
 scoring one set at many grid points, as ``sweep`` does, pays per point only
 for thresholding, weighting, filling and reducing. A report holds just the
 set's table, its parameters and the per-type scores, so a kept report
-adds no array the size of the table. Its per-vote rows and its
-supported-pattern sets, read off the table once per distinct ranking, are
-built only when first read; the per-vote matrices are
+adds no array the size of the table. Its per-vote rows, and its
+supported patterns, read off the table and sorted once per distinct
+ranking, are built only when first read; the per-vote matrices are
 :func:`~rank_consensus.support.support_matrices_fast`'s, which no command
 calls.
 """
@@ -101,8 +101,8 @@ class ConsensusReport:
     Scores are held once per distinct ranking: ``kappa1``/``kappa2`` are
     indexed by type, and ``type_of[l]`` is the type of vote ``l``. Besides
     them a report holds just the set's pattern ``table`` and the ``params``;
-    the per-vote ``per_ranking`` and the supported-pattern ``sets``, read
-    off the table per distinct ranking, are built from those two the first
+    the per-vote ``per_ranking`` and the supported-pattern ``sets``, held
+    per distinct ranking like the scores, are built from those two the first
     time they are read, so runs whose output never prints them neither pay
     for them nor keep them.
     ``original_indices`` records, for a report of

@@ -18,7 +18,7 @@ each from one contiguous slice of the weights; they agree entrywise with
 the full-scan oracle in :mod:`~rank_consensus.reference`. Scores reduce
 each batch as it is filled and drop it. :func:`sets` reads the supported
 patterns, the entries whose count reaches ``q``, off each length's slice of
-the counts, per distinct ranking and with no matrix.
+the counts, per distinct ranking and with no matrix, sorted as printed.
 :func:`support_matrices_fast` is the one per-vote view of filled batches, in
 which duplicate rankings share one matrix, for tests and inspection; only it
 fills the bool ``supported`` matrices.
@@ -60,24 +60,24 @@ class SupportMatrix:
 
 @dataclass(frozen=True)
 class RankingSupport:
-    """The supported patterns read off one ranking's matrix."""
+    """The supported patterns of one ranking, each sorted as printed."""
 
-    singles: frozenset[str]
-    pairs: frozenset[tuple[str, str]]
+    singles: tuple[str, ...]
+    pairs: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
 class SupportSets:
-    """Global and per-ranking supported-pattern sets.
+    """Global and per-type supported patterns, each sorted as printed.
 
-    The global sets are unions of the per-ranking ones; pairs keep the order
-    in which their owner ranking presents them, so both ``(x, y)`` and
-    ``(y, x)`` may appear when both orders clear the threshold.
+    ``per_type`` is indexed like ``table.types``; the global patterns are
+    their union. Pairs keep the order in which their owner ranking presents
+    them, so both ``(x, y)`` and ``(y, x)`` may appear.
     """
 
-    singles: frozenset[str]
-    pairs: frozenset[tuple[str, str]]
-    per_ranking: tuple[RankingSupport, ...]
+    singles: tuple[str, ...]
+    pairs: tuple[tuple[str, str], ...]
+    per_type: tuple[RankingSupport, ...]
 
 
 def _check_params(rset: RankingSet, q: int, gamma: float, lam: float) -> None:
@@ -128,9 +128,9 @@ def fill(table: PatternTable, q: int, gamma: float,
 
 
 def sets(table: PatternTable, q: int) -> SupportSets:
-    """The supported patterns of every vote, read off the table entries that
-    reach the threshold: one ``np.nonzero`` per length, and one
-    :class:`RankingSupport` per distinct ranking, shared by its votes."""
+    """The supported patterns of every distinct ranking, read off the table
+    entries that reach the threshold: one ``np.nonzero`` per length, and
+    each ranking's patterns sorted once."""
     per_type: list[RankingSupport] = [None] * len(table.types)
     for m, group, lo, hi in table.by_length:
         rows, cols = lower_triangle(m)
@@ -141,13 +141,13 @@ def sets(table: PatternTable, q: int) -> SupportSets:
             items = table.types[t].items
             cells = list(zip(firsts[a:b], seconds[a:b]))
             per_type[t] = RankingSupport(
-                singles=frozenset(items[i] for i, j in cells if i == j),
-                pairs=frozenset((items[i], items[j]) for i, j in cells if i < j),
+                singles=tuple(sorted(items[i] for i, j in cells if i == j)),
+                pairs=tuple(sorted((items[i], items[j]) for i, j in cells if i < j)),
             )
     return SupportSets(
-        singles=frozenset().union(*(p.singles for p in per_type)),
-        pairs=frozenset().union(*(p.pairs for p in per_type)),
-        per_ranking=tuple([per_type[t] for t in table.type_of]),
+        singles=tuple(sorted(set().union(*(p.singles for p in per_type)))),
+        pairs=tuple(sorted(set().union(*(p.pairs for p in per_type)))),
+        per_type=tuple(per_type),
     )
 
 

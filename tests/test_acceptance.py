@@ -74,11 +74,11 @@ def test_criterion_1_worked_example_golden():
         for l, expected in EXPECTED_Q3.items():
             np.testing.assert_array_equal(mats[l].entries, np.array(expected, float))
 
-        assert rep.sets.singles == frozenset("abcdef")
-        assert rep.sets.pairs == {
+        assert rep.sets.singles == tuple("abcdef")
+        assert rep.sets.pairs == (
             ("a", "f"), ("b", "a"), ("b", "c"), ("b", "d"), ("b", "e"), ("b", "f"),
             ("c", "d"), ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f"),
-        }
+        )
         assert support_count("b", "c", EXAMPLE) == 3
         assert support_count("a", "a", EXAMPLE) == 4
 
@@ -144,7 +144,8 @@ def test_criterion_3_score_properties():
                     assert rep.overall_kappa2 <= previous.overall_kappa2 + 1e-15
                 previous = rep
                 # (f) trace/sum evaluation == direct set counting
-                for mat, per in zip(support_matrices_fast(rset, q), rep.sets.per_ranking):
+                per_vote = [rep.sets.per_type[t] for t in rep.type_of]
+                for mat, per in zip(support_matrices_fast(rset, q), per_vote, strict=True):
                     assert mat.trace == len(per.singles)
                     assert float(mat.entries.sum()) - mat.trace == len(per.pairs)
             # (c) weighting can only lower scores; gamma=lam=1 changes nothing

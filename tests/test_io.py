@@ -147,6 +147,15 @@ def test_parse_preflib_without_names_keeps_tokens():
 @pytest.mark.parametrize("bad, message", [
     ("0: 1,2\n", "must be positive"),
     ("-2: 1,2\n", "must be positive"),
+    pytest.param("-" + "1" * 5000 + ": 1,2\n", exactly(
+        "<string>:1: vote count must be positive, got -1111111111111111111... (5001 characters)"),
+        id="minus-5000-digits"),
+    pytest.param("3: 1,2\n" + "1" * 5000 + ": 2,1\n", exactly(
+        "<string>:2: vote count 11111111111111111111... (5000 characters) is above the limit"
+        " of 1000000"), id="5000-digits"),
+    pytest.param("9" * 4300 + ": 1,2\n", exactly(
+        "<string>:1: vote count 99999999999999999999... (4300 characters) is above the limit"
+        " of 1000000"), id="4300-digits"),
     ("x: 1,2\n", "not an integer"),
     ("1_000: 1,2\n", "not an integer"),
     ("+3: 1,2\n", "not an integer"),
@@ -172,6 +181,13 @@ def test_parse_preflib_caps_the_vote_total(tmp_path):
     path.write_text("3: 1,2\n100000000000000000: 2,1\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}:2: vote count 100000000000000000")):
         parse_rankings(path, fmt="preflib")
+
+
+def test_leading_zeros_do_not_count_towards_the_digits_of_a_count():
+    # int() refuses more than 4 300 digits, so a count is read by its
+    # significant ones
+    rs = parse_rankings_text("0" * 4400 + "1: b,a\n", fmt="preflib")
+    assert list(rs) == [Ranking.strict("ba")]
 
 
 def test_vote_cap_counts_the_whole_file(monkeypatch):
@@ -401,10 +417,10 @@ def reference_sets(report):
         "per_ranking": [
             {
                 "index": i,
-                "singles": sorted(ps.singles),
-                "pairs": [list(p) for p in sorted(ps.pairs)],
+                "singles": sorted(sets.per_type[t].singles),
+                "pairs": [list(p) for p in sorted(sets.per_type[t].pairs)],
             }
-            for i, ps in enumerate(sets.per_ranking)
+            for i, t in enumerate(report.type_of)
         ],
     }
 

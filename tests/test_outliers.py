@@ -71,6 +71,9 @@ def test_epsilons_must_be_positive(example_set):
         detect_outliers(rep, eps1=0.0)
     with pytest.raises(ParameterError):
         detect_outliers(rep, eps2=-0.1)
+    for name in ("eps1", "eps2"):
+        with pytest.raises(ParameterError, match=f"{name} must be positive and finite, got inf"):
+            detect_outliers(rep, **{name: math.inf})
 
 
 def test_zero_mean_scores_are_degenerate():

@@ -33,7 +33,7 @@ def test_plain_scores_on_example(example_set):
     assert rep.overall_kappa2 == pytest.approx(0.6)
     assert rep.n_rankings == 4
     assert len(support_matrices_fast(example_set, 3)) == 4
-    assert rep.sets.singles == frozenset("abcdef")
+    assert rep.sets.singles == tuple("abcdef")
 
 
 def test_weighted_item_score_on_example(example_set):
@@ -96,6 +96,14 @@ def test_scoring_many_points_counts_patterns_once(example_set, monkeypatch):
     assert len(calls) == 1
 
 
+def assert_sets_equal_reference(rep, want):
+    """``rep.sets`` equals the reference's sets read off one matrix per
+    vote: vote ``l`` reads the patterns of its type ``type_of[l]``."""
+    got = rep.sets
+    assert (got.singles, got.pairs) == (want.singles, want.pairs)
+    assert [got.per_type[t] for t in rep.type_of] == list(want.per_type)
+
+
 def test_support_sets_are_built_only_when_read(monkeypatch):
     rset = RankingSet([Ranking([["a", "b"], ["c"]]), Ranking.strict("bca"), Ranking.strict("ab")] * 3
                       + [Ranking.strict("d")])
@@ -112,7 +120,8 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
     assert len(reports) == 12
     assert calls == []
     for (q, g, lam), rep in zip(grid, reports):
-        assert rep.sets == reference.support_sets(support_matrices_fast(rset, q, gamma=g, lam=lam))
+        assert_sets_equal_reference(
+            rep, reference.support_sets(support_matrices_fast(rset, q, gamma=g, lam=lam)))
         assert rep.sets is rep.sets
     assert len(calls) == 12
 
@@ -133,10 +142,10 @@ def test_table_read_sets_equal_the_reference(route, rset, base):
         mp.setattr(model, "_DENSE_KEYS", 10**9 if route == "dense" else 0)
         rset = RankingSet(rset.rankings)  # counted on this route
         for q in range(1, len(rset) + 1):
-            got = score(rset, ScoreParams(q=q, gamma=base, lam=base)).sets
-            assert got == reference.support_sets(support_matrices_fast(rset, q))
+            rep = score(rset, ScoreParams(q=q, gamma=base, lam=base))
+            assert_sets_equal_reference(rep, reference.support_sets(support_matrices_fast(rset, q)))
             # the votes of one distinct ranking share its patterns
-            assert len({id(p) for p in got.per_ranking}) == len(rset.pattern_stats.types)
+            assert len(rep.sets.per_type) == len(rset.pattern_stats.types)
 
 
 @pytest.mark.parametrize("budget", [None, 1, 250])

@@ -57,3 +57,23 @@ def test_dots_analysis_exits_one_when_no_pair_is_supported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: relative deviations are undefined")
     assert err.count("\n") == 1
+
+
+def test_weight_sweep_reports_a_missing_or_malformed_file(tmp_path, capsys):
+    sweep = load_script("weight_sweep")
+    missing = tmp_path / "missing.txt"
+    assert sweep.main([str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+    bad = tmp_path / "bad.txt"
+    bad.write_text("a,b\na,,b\n")
+    assert sweep.main([str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: empty item\n"
+
+
+def test_dots_analysis_reports_an_unreadable_file(tmp_path, capsys):
+    (tmp_path / "folder.soc").mkdir()  # matches the glob but cannot be read
+    dots = load_script("dots_analysis")
+    assert dots.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "folder.soc" in err and err.count("\n") == 1

@@ -94,15 +94,17 @@ def test_trace_and_offdiagonal_helpers(example_set):
 def test_support_sets_per_ranking_and_union(example_set):
     mats = support_matrices_fast(example_set, 3)
     sets = support_sets(mats)
-    assert sets.singles == frozenset("abcdef")
-    assert sets.per_ranking[2].singles == frozenset("abdf")
-    assert sets.per_ranking[2].pairs == {
-        ("b", "d"), ("b", "a"), ("b", "f"), ("d", "f"), ("a", "f"),
-    }
-    assert sets.pairs == {
+    assert sets.singles == tuple("abcdef")
+    # each matrix is its own type
+    assert len(sets.per_type) == 4
+    assert sets.per_type[2].singles == tuple("abdf")
+    assert sets.per_type[2].pairs == (
+        ("a", "f"), ("b", "a"), ("b", "d"), ("b", "f"), ("d", "f"),
+    )
+    assert sets.pairs == (
         ("a", "f"), ("b", "a"), ("b", "c"), ("b", "d"), ("b", "e"), ("b", "f"),
         ("c", "d"), ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f"),
-    }
+    )
 
 
 def test_q_one_supports_everything(example_set):
