@@ -1,4 +1,5 @@
-"""Reading ranking sets and writing reports.
+"""Reading ranking sets and writing reports; rankings are only read, never
+written back.
 
 Two input formats:
 
@@ -122,9 +123,9 @@ def _parse_lines(text: str, source: str) -> RankingSet:
     return RankingSet(rankings)
 
 
-def _clip(digits: str) -> str:
+def _clip(text: str, quote=str) -> str:
     # a vote count as a message quotes it: its first 20 characters at most
-    return digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} characters)"
+    return quote(text) if len(text) <= 20 else f"{quote(text[:20])}... ({len(text)} characters)"
 
 
 def _parse_preflib(text: str, source: str) -> RankingSet:
@@ -151,7 +152,7 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
         digits = count_text.removeprefix("-")
         # int() also reads "1_000", "+3" and non-ASCII digits
         if not (digits.isascii() and digits.isdigit()):
-            raise ParseError(f"{where}: vote count {count_text!r} is not an integer")
+            raise ParseError(f"{where}: vote count {_clip(count_text, repr)} is not an integer")
         # and refuses more than 4 300 digits, leading zeros included, so a
         # count is sized by its significant digits before int() reads them
         significant = digits.lstrip("0")
@@ -198,33 +199,6 @@ def parse_rankings(path: str | Path, fmt: str = "lines") -> RankingSet:
     # a leading byte-order mark marks the encoding and is not part of the
     # first line, as "utf-8-sig" reads it; offsets above still count it
     return parse_rankings_text(text.removeprefix("\ufeff"), fmt, source=str(path))
-
-
-def _unwritable(item: str) -> bool:
-    # the lines format splits on these, or strips and drops them
-    return (item != item.strip() or any(c in item for c in ",{}#")
-            or item.splitlines() != [item])
-
-
-def render_rankings(rset: RankingSet) -> str:
-    """The ``lines`` representation; parses back to an equal set.
-
-    An item the format cannot hold, one that contains ``,``, ``{``, ``}``,
-    ``#`` or a line break or has whitespace at either end, is a
-    :class:`ParameterError` naming the first vote that ranks one.
-    """
-    bad = {x for x in rset.universe if _unwritable(x)}
-    if bad:
-        l, item = next((l, x) for l, r in enumerate(rset) for x in r.items if x in bad)
-        raise ParameterError(f"vote {l}: item {item!r} cannot be written in the lines format")
-    out = []
-    for r in rset:
-        parts = [
-            block[0] if len(block) == 1 else "{" + ",".join(block) + "}"
-            for block in r.blocks
-        ]
-        out.append(",".join(parts))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A ranking is an ordered sequence of tie blocks over opaque string items; a
 strict ranking is the special case of all-singleton blocks. An item's
 position is the 1-based index of its block, and 0 encodes absence, so every
-downstream formula treats incomplete rankings uniformly. All types are
+downstream formula treats incomplete rankings uniformly: a ranking contains
+the pattern ``x y`` when ``0 < position(x) <= position(y)``. All types are
 immutable after construction and safe to share across threads.
 
 A set counts its patterns once, on first use, and keeps the result as a
@@ -83,18 +84,6 @@ class Ranking:
     def position(self, item: str) -> int:
         """1-based block index of ``item``, or 0 if the item is absent."""
         return self._positions.get(item, 0)
-
-    def contains_pattern(self, x: str, y: str) -> bool:
-        """True iff ``x`` is ranked at or before ``y`` and both are present.
-
-        Tied items satisfy both orders; ``contains_pattern(x, x)`` is plain
-        membership.
-        """
-        px = self._positions.get(x, 0)
-        if px == 0:
-            return False
-        py = self._positions.get(y, 0)
-        return py != 0 and px <= py
 
 
 @dataclass(frozen=True)

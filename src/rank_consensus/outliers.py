@@ -4,7 +4,8 @@ A ranking's relative deviation ``v = (kappa - mean kappa) / mean kappa`` is
 computed separately for the item score and the pair score. Rankings whose
 deviation falls below ``-eps`` on either score are flagged. The deviations
 sum to zero by construction, so flags mark the low tail, not noise around
-the mean.
+the mean. Deviations and flags are held once per distinct ranking, as the
+scores are; a vote reads its row through the consensus run's ``type_of``.
 """
 from __future__ import annotations
 
@@ -19,34 +20,20 @@ from .model import RankingSet
 from .scores import ConsensusReport, ScoreParams, score
 
 
-@dataclass(frozen=True)
-class RankingDeviation:
-    index: int
-    v1: float
-    v2: float
-    flagged: bool
-
-
 @dataclass(frozen=True, eq=False)
 class OutlierReport:
     """Deviations and flags, together with the consensus run they came from.
 
     ``per_type`` holds ``(v1, v2, flagged)`` once per distinct ranking of
-    the consensus run; ``per_ranking`` is the per-vote view of it and
-    ``flagged_indices`` the votes it flags, each built the first time it is
-    read.
+    the consensus run, so vote ``l``'s row is
+    ``per_type[consensus.type_of[l]]``; ``flagged_indices``, the votes it
+    flags, is built the first time it is read.
     """
 
     consensus: ConsensusReport
     eps1: float
     eps2: float
     per_type: tuple[tuple[float, float, bool], ...]
-
-    @cached_property
-    def per_ranking(self) -> tuple[RankingDeviation, ...]:
-        rows = self.per_type
-        return tuple(RankingDeviation(l, *rows[t])
-                     for l, t in enumerate(self.consensus.type_of))
 
     @cached_property
     def flagged_indices(self) -> list[int]:

@@ -2,18 +2,29 @@
 
 Nothing in the package calls these; the tests check the table-read routes
 of :mod:`~rank_consensus.support` and :mod:`~rank_consensus.scores`
-against them. :func:`support_matrix_naive` builds one ranking's support
-matrix with a full scan of the set for every entry, :func:`support_sets`
-reads the supported patterns off a list of matrices, one type per matrix
-and sorted as the table-read sets are, and the mean and deviation helpers
-rescan the set for one item or pattern.
+against them. :func:`contains_pattern` is the containment rule every
+rescan applies to one ranking. :func:`support_matrix_naive` builds one
+ranking's support matrix with a full scan of the set for every entry,
+:func:`support_sets` reads the supported patterns off a list of matrices,
+one type per matrix and sorted as the table-read sets are, and the mean and
+deviation helpers rescan the set for one item or pattern.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import RankingSet, _weight
+from .model import Ranking, RankingSet, _weight
 from .support import RankingSupport, SupportMatrix, SupportSets, _check_params
+
+
+def contains_pattern(r: Ranking, x: str, y: str) -> bool:
+    """True iff ``r`` ranks ``x`` at or before ``y`` and both are present.
+
+    Tied items satisfy both orders; ``contains_pattern(r, x, x)`` is plain
+    membership.
+    """
+    px = r.position(x)
+    return 0 < px <= r.position(y)
 
 
 def _deviation(value: int, total: int, count: int) -> float:
@@ -23,7 +34,7 @@ def _deviation(value: int, total: int, count: int) -> float:
 
 def support_count(x: str, y: str, rset: RankingSet) -> int:
     """Number of rankings containing the pattern ``x y`` (membership if x == y)."""
-    return sum(1 for r in rset if r.contains_pattern(x, y))
+    return sum(1 for r in rset if contains_pattern(r, x, y))
 
 
 def support_matrix_naive(l: int, rset: RankingSet, q: int,
@@ -51,7 +62,7 @@ def support_matrix_naive(l: int, rset: RankingSet, q: int,
                     if p:
                         count += 1
                         total += p
-                elif rz.contains_pattern(x, y):
+                elif contains_pattern(rz, x, y):
                     count += 1
                     total += rz.position(y) - rz.position(x)
             if count >= q:
@@ -92,7 +103,7 @@ def mean_position(x: str, rset: RankingSet) -> float:
 
 def mean_gap(x: str, y: str, rset: RankingSet) -> float:
     """Average position gap of the pattern ``x y`` over rankings containing it."""
-    gaps = [r.position(y) - r.position(x) for r in rset if r.contains_pattern(x, y)]
+    gaps = [r.position(y) - r.position(x) for r in rset if contains_pattern(r, x, y)]
     if not gaps:
         raise ValueError(f"pattern {x!r} {y!r} appears in no ranking")
     return sum(gaps) / len(gaps)
@@ -120,13 +131,13 @@ def position_deviation(x: str, l: int, rset: RankingSet) -> float:
 def gap_deviation(x: str, y: str, l: int, rset: RankingSet) -> float:
     """|gap of ``x y`` in ranking ``l`` minus the set-wide mean gap|."""
     ranking = rset[l]
-    if not ranking.contains_pattern(x, y):
+    if not contains_pattern(ranking, x, y):
         raise ValueError(f"pattern {x!r} {y!r} is not in ranking {l}")
     gap = ranking.position(y) - ranking.position(x)
     count = 0
     total = 0
     for r in rset:
-        if r.contains_pattern(x, y):
+        if contains_pattern(r, x, y):
             count += 1
             total += r.position(y) - r.position(x)
     return abs(gap * count - total) / count

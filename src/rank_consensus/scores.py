@@ -16,11 +16,11 @@ their length-by-length layout, deviation weights) is kept with the set, so
 scoring one set at many grid points, as ``sweep`` does, pays per point only
 for thresholding, weighting, filling and reducing. A report holds just the
 set's table, its parameters and the per-type scores, so a kept report
-adds no array the size of the table. Its per-vote rows, and its
-supported patterns, read off the table and sorted once per distinct
-ranking, are built only when first read; the per-vote matrices are
-:func:`~rank_consensus.support.support_matrices_fast`'s, which no command
-calls.
+adds no array the size of the table. Vote ``l``'s scores are
+``per_type[type_of[l]]``. Its supported patterns, read off the table and
+sorted once per distinct ranking, are built only when first read; the
+per-vote matrices are :func:`~rank_consensus.support.support_matrices_fast`'s,
+which no command calls.
 """
 from __future__ import annotations
 
@@ -78,22 +78,6 @@ def q_from_fraction(frac: Fraction | str | float, n_rankings: int) -> int:
     return int(math.ceil(scaled)) if scaled.denominator > 1 else int(scaled)
 
 
-@dataclass(frozen=True)
-class RankingScore:
-    """Scores of a single ranking.
-
-    ``singleton`` marks rankings with one item, whose pair score is 0 by
-    convention (there are no pairs to certify).
-    """
-
-    index: int
-    m: int
-    n_pairs: int
-    kappa1: float
-    kappa2: float
-    singleton: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class ConsensusReport:
     """Everything a scoring run produced, in one place.
@@ -101,10 +85,9 @@ class ConsensusReport:
     Scores are held once per distinct ranking: ``kappa1``/``kappa2`` are
     indexed by type, and ``type_of[l]`` is the type of vote ``l``. Besides
     them a report holds just the set's pattern ``table`` and the ``params``;
-    the per-vote ``per_ranking`` and the supported-pattern ``sets``, held
-    per distinct ranking like the scores, are built from those two the first
-    time they are read, so runs whose output never prints them neither pay
-    for them nor keep them.
+    the supported-pattern ``sets``, held per distinct ranking like the
+    scores, are built from those two the first time they are read, so runs
+    whose output never prints them neither pay for them nor keep them.
     ``original_indices`` records, for a report of
     :func:`~rank_consensus.outliers.remove_and_rescore`, the index in the
     original set of each vote it scored; it is ``None`` for a report of a
@@ -126,7 +109,9 @@ class ConsensusReport:
 
     @cached_property
     def per_type(self) -> tuple[tuple[int, int, float, float, bool], ...]:
-        """``(m, n_pairs, kappa1, kappa2, singleton)`` of each distinct ranking."""
+        """``(m, n_pairs, kappa1, kappa2, singleton)`` of each distinct ranking;
+        ``singleton`` marks a one-item ranking, whose ``kappa2`` is 0 by
+        convention (it has no pairs to certify)."""
         rows = []
         for ranking, kappa1, kappa2 in zip(self.table.types, self.kappa1.tolist(),
                                            self.kappa2.tolist()):
@@ -134,11 +119,6 @@ class ConsensusReport:
             n_pairs = m * (m - 1) // 2
             rows.append((m, n_pairs, kappa1, kappa2, not n_pairs))
         return tuple(rows)
-
-    @cached_property
-    def per_ranking(self) -> tuple[RankingScore, ...]:
-        rows = self.per_type
-        return tuple(RankingScore(l, *rows[t]) for l, t in enumerate(self.type_of))
 
     @cached_property
     def sets(self) -> SupportSets:

@@ -46,6 +46,14 @@ def random_ranking_set(rng: random.Random, n_min=2, n_max=6,
     )
 
 
+def per_vote(report) -> list[tuple]:
+    """Each vote's row of ``report.per_type``, vote by vote: ``(m, n_pairs,
+    kappa1, kappa2, singleton)`` of a consensus report, ``(v1, v2, flagged)``
+    of an outlier report."""
+    type_of = getattr(report, "consensus", report).type_of
+    return [report.per_type[t] for t in type_of]
+
+
 @st.composite
 def rankings_st(draw, universe=TOKENS, min_size=1, allow_ties=True):
     perm = draw(st.permutations(list(universe)))

