@@ -14,6 +14,7 @@ Scoring reads the ranking set's pattern table, counted once per set, so
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from io import RawIOBase
@@ -189,10 +190,23 @@ _SLICE = 1 << 18
 
 
 def _write(text: str) -> None:
-    """Write ``text`` to stdout in slices of :data:`_SLICE` characters."""
+    """Write ``text`` to stdout in slices of :data:`_SLICE` characters.
+
+    Raises :class:`OSError` before the first byte when stdout's encoding
+    cannot encode the text.
+    """
     out = sys.stdout
     if out is None:  # Python starts without one when fd 1 is closed
         raise OSError("stdout is closed")
+    encoding = getattr(out, "encoding", None)  # a StringIO has none
+    # every name was decoded as strict UTF-8, so only another encoding fails
+    if encoding and codecs.lookup(encoding).name != "utf-8":
+        for start in range(0, len(text), _SLICE):
+            try:
+                text[start:start + _SLICE].encode(encoding, out.errors)
+            except UnicodeEncodeError as exc:
+                raise OSError(f"stdout's encoding {encoding} cannot encode "
+                              f"{exc.object[exc.start]!r}") from None
     raw = getattr(out, "buffer", None)
     if isinstance(raw, RawIOBase):
         # unbuffered stdout (python -u): the text layer drops what a short

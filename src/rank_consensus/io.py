@@ -59,12 +59,14 @@ from .support import RankingSupport, SupportSets
 MAX_VOTES = 10**6
 
 
-def _parse_ranking(text: str, where: str) -> list[list[str]]:
-    """The tie blocks of one ranking's text, or a :class:`ParseError` for
-    its first fault from the left."""
+def _parse_ranking(text: str, where: str, names: dict[str, str]) -> list[tuple[str, ...]]:
+    """The tie blocks of one ranking's text, as tuples, or a
+    :class:`ParseError` for its first fault from the left. Each item is the
+    one ``str`` that ``names`` keeps for its text, added on first sight, so
+    a file's rankings share one object per item name."""
     if not text.strip():
         raise ParseError(f"{where}: empty ranking")
-    blocks: list[list[str]] = []
+    blocks: list[tuple[str, ...]] = []
     # the plain items before a '{' or the end, each after a ',' but the first
     run, brace, rest = text.partition("{")
     items = run.split(",")
@@ -77,7 +79,7 @@ def _parse_ranking(text: str, where: str) -> list[list[str]]:
             if token:
                 if k == last and brace:
                     raise ParseError(f"{where}: '{{' must start an item")
-                blocks.append([token])
+                blocks.append((names.setdefault(token, token),))
             elif k < last:
                 raise ParseError(f"{where}: empty item")
             elif not brace:
@@ -92,7 +94,7 @@ def _parse_ranking(text: str, where: str) -> list[list[str]]:
         tokens = [t.strip() for t in inner.split(",")]
         if not all(tokens):
             raise ParseError(f"{where}: empty item in tie group")
-        blocks.append(tokens)
+        blocks.append(tuple(map(names.setdefault, tokens, tokens)))
         # a group is followed by blanks, then a ',' or the end
         run, brace, rest = rest.partition("{")
         lead, *items = run.split(",")
@@ -100,7 +102,7 @@ def _parse_ranking(text: str, where: str) -> list[list[str]]:
             raise ParseError(f"{where}: expected ',' before {(lead.strip() or '{')[0]!r}")
 
 
-def _ranking(blocks: list[list[str]], where: str) -> Ranking:
+def _ranking(blocks: list[tuple[str, ...]], where: str) -> Ranking:
     try:
         return Ranking(blocks)
     except ValueError as exc:
@@ -109,6 +111,7 @@ def _ranking(blocks: list[list[str]], where: str) -> Ranking:
 
 def _parse_lines(text: str, source: str) -> RankingSet:
     rankings = []
+    names: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,7 +120,7 @@ def _parse_lines(text: str, source: str) -> RankingSet:
         if len(rankings) == MAX_VOTES:
             raise ParseError(f"{where}: this ranking brings the file's total "
                              f"to {MAX_VOTES + 1}, above the limit of {MAX_VOTES}")
-        rankings.append(_ranking(_parse_ranking(line, where), where))
+        rankings.append(_ranking(_parse_ranking(line, where, names), where))
     if not rankings:
         raise ParseError(f"{source}: no rankings found")
     return RankingSet(rankings)
@@ -130,6 +133,7 @@ def _clip(text: str, quote=str) -> str:
 
 def _parse_preflib(text: str, source: str) -> RankingSet:
     names: dict[str, str] = {}
+    tokens: dict[str, str] = {}
     rankings: list[Ranking] = []
     n_votes = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -166,7 +170,7 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
         if n_votes > MAX_VOTES:
             raise ParseError(f"{where}: vote count {count} brings the file's total "
                              f"to {n_votes}, above the limit of {MAX_VOTES}")
-        blocks = _parse_ranking(order_text, where)
+        blocks = _parse_ranking(order_text, where, tokens)
         try:
             ranking = Ranking([names.get(t, t) for t in block] for block in blocks)
         except ValueError as exc:

@@ -13,9 +13,11 @@ distinct rankings gives every ordered pattern's support and position/gap
 total. The table lays its entries out length by length, each distinct
 ranking's in the cell order of its support matrix, so the entries of all
 distinct rankings of one length are one contiguous block, and every batch a
-reader takes is a slice of it. The table also keeps what every threshold
-and weight reads alike: once a weighted run asks, the distinct deviations
-and each weight base's weights of them.
+reader takes is a slice of it. An entry holds 16 bytes, and every pass
+over the table works in steps of :data:`_STEP_BYTES`. The table also keeps
+what every threshold and weight reads alike: once a weighted run asks, the
+distinct deviations, an int32 index into them, and each weight base's
+weights of them.
 """
 from __future__ import annotations
 
@@ -43,7 +45,9 @@ class Ranking:
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, blocks: Iterable[Iterable[str]]):
-        norm = tuple(tuple(sorted(block)) for block in blocks)
+        # a one-item tuple, as the parser gives each plain item, is normal
+        norm = tuple([block if type(block) is tuple and len(block) == 1
+                      else tuple(sorted(block)) for block in blocks])
         if not norm:
             raise ValueError("a ranking needs at least one block")
         positions: dict[str, int] = {}
@@ -154,10 +158,12 @@ class PatternTable:
     table. A type's entries are the cells of ``lower_triangle(m)``; cell
     ``[j, i]`` is the pattern formed by its i-th and j-th items, so
     ``a[lo:hi].reshape(k, -1)`` is one row of cells per type. Per entry,
-    ``count`` is the pattern's support, ``total`` sums its position
-    (``diag``) or its gap over the rankings that contain it, and ``value`` is
-    the type's own position or gap. ``deviations`` and :meth:`weights` give
-    the deviation weights, computed on first use. All arrays are read-only.
+    ``count`` (int32, at most a file's vote limit) is the pattern's support,
+    ``total`` (int64) sums its position, on the diagonal ``rows == cols``,
+    or its gap over the rankings that contain it, and ``value`` (int32) is
+    the type's own position or gap: 16 bytes per entry. ``deviations`` and
+    :meth:`weights` give the deviation weights, computed on first use. All
+    arrays are read-only.
     """
 
     types: tuple[Ranking, ...]
@@ -165,7 +171,6 @@ class PatternTable:
     count: np.ndarray
     total: np.ndarray
     value: np.ndarray
-    diag: np.ndarray
     by_length: tuple[tuple[int, np.ndarray, int, int], ...]
     # weight base -> weight of each distinct deviation, filled by weights();
     # threads racing on one base only compute equal arrays twice
@@ -186,13 +191,38 @@ class PatternTable:
         """The distinct deviations ``|value - total/count|`` of the entries,
         ascending, and the int32 index of each entry's deviation among them.
 
-        The two arrays equal ``np.unique(deviation, return_inverse=True)``;
-        ranked by :func:`unique_inverse`, they peak at 24 bytes per table
-        entry instead of 49 (tracemalloc, sweep's 223 431 entries), and only
-        the index, 4 bytes per entry, stays.
+        The two arrays equal ``np.unique(deviation, return_inverse=True)``.
+        Each step of entries is ranked by :func:`unique_inverse` into its
+        slice of the index. The steps' distinct values are then merged into
+        the one sorted ``unique``, and each slice is remapped through
+        ``np.searchsorted`` of its step's values in it. Beyond the index, 4
+        bytes per entry, one step's arrays and the steps' distinct values
+        are all that is allocated: on sweep's 222 241 entries the ranking
+        peaks at 8 bytes per entry, where the whole table at once peaked at
+        24 (tracemalloc).
         """
-        # exact integer numerator; no temporary outlives the expression
-        return unique_inverse(np.abs(self.value * self.count - self.total) / self.count)
+        index = np.empty(len(self.count), dtype=np.int32)
+        step = max(1, _STEP_BYTES // 8)
+        slices = [slice(lo, lo + step) for lo in range(0, len(index), step)]
+        parts = []
+        for at in slices:
+            count = self.count[at]
+            # exact integer numerator, as value * count can pass 2**31; no
+            # temporary outlives the expression
+            unique, index[at] = unique_inverse(
+                np.abs(np.multiply(self.value[at], count, dtype=np.int64) - self.total[at])
+                / count)
+            parts.append(unique)
+        if len(parts) > 1:  # one step's ranking is the table's
+            unique = np.concatenate(parts)
+            unique.sort()
+            unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+            for at, part in zip(slices, parts):
+                remap = np.searchsorted(unique, part).astype(np.int32)
+                index[at] = remap.take(index[at], mode="clip")  # each is in range
+        for a in (unique, index):
+            a.flags.writeable = False
+        return unique, index
 
 
 def _weight(base: float, deviation: float) -> float:
@@ -236,20 +266,22 @@ def unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # whole count of sweep (900 possible keys, 223 431 entries) takes 21 ms
 # instead of 31, of retrieval (303 601 and 252 500) 17 ms instead of 28
 _DENSE_KEYS = 2
-# most bytes one step over the distinct rankings of one length may take, read
-# whenever the table is counted or its batches filled: 8 per cell for the
+# most bytes one step over the table may take, read whenever the table is
+# counted, its deviations ranked or its batches filled: 8 per cell for the
 # count's int64 arrays, where a whole length at once (fifty 100-item lists)
-# peaked 5.6 MB higher, and 8 + 1 per matrix cell for support.fill's float
-# and bool batches, where 16 MB batches peaked 2.2 MB higher
+# peaked 5.6 MB higher, 8 per entry for the deviations' float array, where
+# steps of 8 192 entries took 14 ms on sweep instead of 11, and 8 + 1 per
+# matrix cell for support.fill's float and bool batches, where 16 MB batches
+# peaked 2.2 MB higher
 _STEP_BYTES = 1 << 18
 # most entries the pattern table of one set may have; each distinct ranking of
 # m items owns m(m+1)/2, so one ranking may hold up to 2448 items. The
 # heaviest commands, `score` and `patterns` as JSON at q = 1, print every
-# entry as a supported pattern: on one strict ranking of 124 750, 249 571
-# and 374 545 entries `score` peaks at 101, 155 and 235 MB, 520 to 590 bytes
-# per entry over the 30 MB of a tiny input (each the process's own peak
-# from `os.wait4`). At this cap it would so need about 1.6 to 1.8 GB;
-# `score` as CSV needs about a sixth of that
+# entry as a supported pattern. On one strict ranking of 124 750, 374 545
+# and 2 997 576 entries (499, 865 and 2448 items) `score` peaks at 85, 205
+# and 1 168 MB as JSON, 380 to 470 bytes per entry over the 30 MB of a tiny
+# input, and at 40, 60 and 262 MB as CSV, 77 to 79 bytes per entry (each
+# the process's own peak from `os.wait4`)
 MAX_ENTRIES = 3 * 10**6
 
 
@@ -262,8 +294,11 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
     keys, positions and gaps as ``(k, m(m+1)/2)`` arrays taken over
     ``lower_triangle(m)``, a few rankings at a time, written straight into
     that length's block of the table. Two ``np.bincount`` calls weighted by
-    multiplicity give the counts and totals. Float weights stay exact while
-    the sums are below 2**53, far above any vote total the parsers accept.
+    multiplicity give the counts and totals, and ``np.add.at`` adds the
+    tied cells' reverse patterns to the counts. Float weights stay exact
+    while the sums are below 2**53, far above any vote total the parsers
+    accept. Each sum is narrowed to its column's dtype before it is
+    gathered per entry.
     Raises :class:`PatternTableTooLargeError`, before allocating the table,
     when it would have more than :data:`MAX_ENTRIES` entries.
     """
@@ -290,8 +325,7 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
     for t, m in enumerate(lengths):
         groups.setdefault(m, []).append(t)
     keys = np.empty(n_own, dtype=np.int64)
-    value = np.empty(n_own, dtype=np.int64)
-    diag = np.empty(n_own, dtype=bool)
+    value = np.empty(n_own, dtype=np.int32)
     weight = np.empty(n_own)
     by_length, ties, lo = [], [], 0
     for m, group in sorted(groups.items()):
@@ -301,7 +335,6 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
         hi = lo + len(group) * len(rows)
         by_length.append((m, group, lo, hi))
         block_keys, block_value = (a[lo:hi].reshape(len(group), len(rows)) for a in (keys, value))
-        diag[lo:hi].reshape(len(group), len(rows))[:] = on_diag
         weight[lo:hi] = np.repeat(times[group], len(rows))
         lo = hi
         step = max(1, _STEP_BYTES // (8 * len(rows)))
@@ -323,17 +356,23 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
     else:
         unique, inverse = unique_inverse(np.concatenate((keys, tied_keys)))
         own, tied, n_slots = inverse[:n_own], inverse[n_own:], len(unique)
-    del keys, tied_keys  # the sparse route keeps only their ranks
+    # the sparse route keeps only their ranks; the last block's view goes too
+    del keys, tied_keys, block_keys
     counts = np.bincount(own, weights=weight, minlength=n_slots)
-    counts += np.bincount(tied, weights=tied_weight, minlength=n_slots)
-    count = counts[own].astype(np.int64)
-    del counts  # each array the size of the table goes before the next is made
+    np.add.at(counts, tied, tied_weight)
+    count = counts.astype(np.int32)[own]
+    del counts
     weight *= value
     totals = np.bincount(own, weights=weight, minlength=n_slots)
+    # the spent weights' array takes each entry's total, and each array the
+    # size of the table goes before the next is made; "clip" keeps np.take
+    # from buffering its output, and every key is in range
+    np.take(totals, own, out=weight, mode="clip")
+    del totals, own, tied
+    total = weight.astype(np.int64)
     del weight
-    total = totals[own].astype(np.int64)
-    for a in (count, total, value, diag):
+    for a in (count, total, value):
         a.flags.writeable = False
     for _, group, _, _ in by_length:
         group.flags.writeable = False
-    return PatternTable(types, type_of, count, total, value, diag, tuple(by_length))
+    return PatternTable(types, type_of, count, total, value, tuple(by_length))

@@ -12,13 +12,14 @@ pair's gap deviation from its set-wide mean gap).
 Everything here reads the set's pattern table
 (:attr:`RankingSet.pattern_stats`), which lays its entries out length by
 length, and the parameters; nothing is kept between calls but the table's
-own deviation weights. :func:`fill` thresholds and weights every entry in
-whole-array operations and fills read-only ``(k, m, m)`` float batches,
-each from one contiguous slice of the weights; they agree entrywise with
-the full-scan oracle in :mod:`~rank_consensus.reference`. Scores reduce
-each batch as it is filled and drop it. :func:`sets` reads the supported
-patterns, the entries whose count reaches ``q``, off each length's slice of
-the counts, per distinct ranking and with no matrix, sorted as printed.
+own deviation weights. :func:`fill` fills read-only ``(k, m, m)`` float
+batches, each thresholded and weighted from one contiguous slice of the
+table's counts and deviation index, so a pass over the table allocates one
+batch at a time; they agree entrywise with the full-scan oracle in
+:mod:`~rank_consensus.reference`. Scores reduce each batch as it is filled
+and drop it. :func:`sets` reads the supported patterns, the entries whose
+count reaches ``q``, off each length's slice of the counts, per distinct
+ranking and with no matrix, sorted as printed.
 :func:`support_matrices_fast` is the one per-vote view of filled batches, in
 which duplicate rankings share one matrix, for tests and inspection; only it
 fills the bool ``supported`` matrices.
@@ -96,33 +97,38 @@ def fill(table: PatternTable, q: int, gamma: float,
          lam: float) -> Iterator[tuple[np.ndarray, slice, np.ndarray]]:
     """The weight matrices of the table's distinct rankings, batch by batch.
 
-    Thresholds all entries at once, picks their weights, and yields
-    ``(group, cells, entries)``: the type indices of ``k`` distinct rankings
-    of one length ``m``, the slice of the table entries they own, and their
-    fresh read-only ``(k, m, m)`` weight matrices, filled by fancy indexing
-    from that slice. Batches split under ``model._STEP_BYTES`` as it is when
+    Yields ``(group, cells, entries)``: the type indices of ``k`` distinct
+    rankings of one length ``m``, the slice of the table entries they own,
+    and their fresh read-only ``(k, m, m)`` weight matrices, filled by fancy
+    indexing from that slice's weights. Each batch is thresholded and
+    weighted from its own slice of the counts and of the deviation index,
+    so nothing the size of the table is made; the first weighted call ranks
+    the deviations. Batches split under ``model._STEP_BYTES`` as it is when
     this is called. The parameters are not checked here.
     """
-    if (gamma, lam) == (1.0, 1.0):
-        weights = (table.count >= q).astype(float)
-    else:
-        # one entry-sized array per call: with a second float array, or
-        # np.take's int64 copy of the index, sweep faulted ~600 pages back
-        # in per call and its 12 calls took ~50 ms in process, not ~35.
-        # The first weighted call ranks the deviations before making it
+    weighted = (gamma, lam) != (1.0, 1.0)
+    if weighted:
         index = table.deviations[1]
-        weights = np.ones(len(index)) if lam == 1.0 else table.weights(lam)[index]
-        diag = table.diag
-        weights[diag] = 1.0 if gamma == 1.0 else table.weights(gamma)[index[diag]]
-        weights *= table.count >= q  # w * 1.0 is w, and unsupported is 0.0
+        pair = None if lam == 1.0 else table.weights(lam)
+        item = None if gamma == 1.0 else table.weights(gamma)
     for m, group, lo, _ in table.by_length:
         rows, cols = lower_triangle(m)
+        diag = np.flatnonzero(rows == cols)
         step = max(1, model._STEP_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
         for start in range(0, len(group), step):
             part = group[start:start + step]
             cells = slice(lo + start * len(rows), lo + (start + len(part)) * len(rows))
+            shape = (len(part), len(rows))
+            supported = (table.count[cells] >= q).reshape(shape)
+            if weighted:
+                at = index[cells].reshape(shape)
+                weights = np.ones(shape) if pair is None else pair[at]
+                weights[:, diag] = 1.0 if item is None else item[at[:, diag]]
+                weights *= supported  # w * 1.0 is w, and unsupported is 0.0
+            else:
+                weights = supported.astype(float)
             entries = np.zeros((len(part), m, m))
-            entries[:, rows, cols] = weights[cells].reshape(len(part), len(rows))
+            entries[:, rows, cols] = weights
             entries.flags.writeable = False
             yield part, cells, entries
 

@@ -455,6 +455,47 @@ def test_closed_stdout_exits_one_with_one_error_line(tmp_path, unbuffered):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unencodable_report_exits_one_with_one_error_line(tmp_path, fmt):
+    path = tmp_path / "rankings.txt"
+    path.write_text("é,b\nb,é\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rank_consensus.cli", "patterns", str(path), "--q", "1",
+         "--format", fmt], capture_output=True, env=env)
+    if fmt == "json":  # JSON escapes every non-ASCII character
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert "é" in json.loads(proc.stdout)["singles"]
+        return
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    err = proc.stderr.decode("ascii")
+    assert err.startswith("error: cannot write the report: ") and "ascii" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use, which costs a start-up's worth
+    # of time and memory; no command route may call it
+    path = tmp_path / "rankings.txt"
+    path.write_text("a,{b,c},d\nb,a,c\n{a,d},c\na,b,c,d\nd,c\n")
+    script = (
+        "import sys\n"
+        "from rank_consensus import cli\n"
+        f"path = {str(path)!r}\n"
+        "weights = ['--gamma', '0.5', '--lambda', '0.3']\n"
+        "for argv in (['score', path, *weights], ['patterns', path, *weights],\n"
+        "             ['outliers', path, '--remove', *weights],\n"
+        "             ['sweep', path, '--gammas', '1,0.5', '--lambdas', '0.3']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'numpy.ma' or m.startswith('numpy.ma.')), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
 class Trickle(io.RawIOBase):
     """A raw file that takes at most two bytes per write."""
 

@@ -133,8 +133,8 @@ def test_pattern_stats_counts_ties_both_ways_and_repeats():
     assert stats.count.tolist() == [3, 1, 4, 3, 3, 4, 4, 2, 3, 2, 2, 3]
     assert stats.total.tolist() == [5, 1, 6, 3, 1, 6, 6, 0, 3, 2, 2, 5]
     assert stats.value.tolist() == [1, 1, 2, 1, 1, 2, 1, 0, 1, 1, 1, 2]
-    assert stats.diag.tolist() == [True, False, True, True, False, True,
-                                   True, False, True, False, False, True]
+    assert table_diagonal(stats).tolist() == [True, False, True, True, False, True,
+                                              True, False, True, False, False, True]
     assert rs.pattern_stats is stats
 
 
@@ -147,7 +147,7 @@ def test_ranking_set_pickles_after_counting(example_set):
     assert (counted.types, counted.type_of) == (stats.types, stats.type_of)
     assert [(m, lo, hi) for m, _, lo, hi in counted.by_length] == [
         (m, lo, hi) for m, _, lo, hi in stats.by_length]
-    for name in ("count", "total", "value", "diag"):
+    for name in ("count", "total", "value"):
         assert np.array_equal(getattr(counted, name), getattr(stats, name))
 
 
@@ -167,6 +167,14 @@ def test_universe_reads_each_distinct_ranking_once(monkeypatch):
     assert rs.universe == frozenset("abcde")
     assert sorted(reads) == sorted(set(reads))
     assert set(reads) <= {id(r) for r in kinds}
+
+
+def table_diagonal(table):
+    """Whether each entry of ``table`` is a diagonal cell, read off the
+    layout: the cells ``rows == cols`` of ``lower_triangle(m)``, once per
+    type of each length."""
+    return np.concatenate([np.tile(np.equal(*lower_triangle(m)), len(group))
+                           for m, group, _, _ in table.by_length])
 
 
 # --- the per-ranking counting pass this one replaced, kept as a reference ---
@@ -204,12 +212,12 @@ def reference_count_patterns(rankings):
     del own, tied
     value = np.concatenate(values)
     entry = inverse[:n_own]  # the pattern of each own cell
-    counts = np.bincount(inverse, weights=weight).astype(np.int64)
+    counts = np.bincount(inverse, weights=weight).astype(np.int32)
     totals = np.bincount(entry, weights=weight[:n_own] * value,
                          minlength=len(keys)).astype(np.int64)
     return dict(
         types=types, type_of=type_of, groups=groups,
-        count=counts[entry], total=totals[entry], value=value,
+        count=counts[entry], total=totals[entry], value=value.astype(np.int32),
         diag=np.concatenate(diags),
     )
 
@@ -245,10 +253,11 @@ def test_count_patterns_equals_the_per_ranking_reference(route, votes):
         table = model.count_patterns(votes)
     assert table.types == want["types"]
     assert table.type_of == want["type_of"]
-    for name in ("count", "total", "value", "diag"):
+    for name in ("count", "total", "value"):
         got = getattr(table, name)
         assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
         assert not got.flags.writeable
+    assert np.array_equal(table_diagonal(table), want["diag"])
     # the layout lists every type once, lengths ascending, each length's
     # types in first-appearance order, and its blocks tile the table in order
     lengths = [m for m, _, _, _ in table.by_length]
@@ -297,12 +306,17 @@ def test_unique_inverse_equals_np_unique(a):
 # under tracemalloc, on benchmark-shaped inputs of 12 745 (sweep) and 20 200
 # (retrieval) entries. Ranked with np.unique, the sparse route peaked at 88.8
 # and 106.0 and the deviations at 49.2; the dense route ranks nothing, and its
-# bounds only guard it
+# bounds only guard it. Counting now peaks at 40.6, 49.6, 73.6 and 61.1 (it
+# was 53.0, 54.6, 87.4 and 75.7 with int64 columns gathered as floats). The
+# deviations are ranked in steps of 2 048 entries here, so that each table
+# spans several: they peak at 12.8 and 7.9, where ranking the whole table at
+# once peaked at 26.4 and 24.0
 SHRUNK = {"sweep": ("sweep_rankings", {"n": 60}),
           "retrieval": ("retrieval_lists", {"n_lists": 4})}
-COUNT_PEAK = {("sweep", "dense"): 64, ("sweep", "unique"): 66,
-              ("retrieval", "dense"): 100, ("retrieval", "unique"): 80}
-DEVIATIONS_PEAK = 28
+COUNT_PEAK = {("sweep", "dense"): 46, ("sweep", "unique"): 57,
+              ("retrieval", "dense"): 84, ("retrieval", "unique"): 70}
+DEVIATIONS_PEAK = 15
+DEVIATIONS_STEP = 2048 * 8
 
 
 def traced_peak(fn):
@@ -327,14 +341,33 @@ def test_counting_memory_per_entry_is_bounded(workload, route, monkeypatch):
 
 
 @pytest.mark.parametrize("workload", sorted(SHRUNK))
-def test_ranking_deviations_memory_per_entry_is_bounded(workload):
+def test_ranking_deviations_memory_per_entry_is_bounded(workload, monkeypatch):
     generator, shrink = SHRUNK[workload]
     table = model.count_patterns(bench_votes(generator, **shrink))
     n = len(table.count)
+    monkeypatch.setattr(model, "_STEP_BYTES", DEVIATIONS_STEP)
     (unique, inverse), peak = traced_peak(lambda: table.deviations)
-    assert n >= 10_000
+    assert n >= 5 * DEVIATIONS_STEP // 8
     assert peak / n < DEVIATIONS_PEAK
     assert inverse.dtype == np.int32
-    deviation = np.abs(table.value * table.count - table.total) / table.count
+    deviation = np.abs(table.value.astype(np.int64) * table.count - table.total) / table.count
     want_unique, want_inverse = np.unique(deviation, return_inverse=True)
     assert np.array_equal(unique, want_unique) and np.array_equal(inverse, want_inverse)
+
+
+@pytest.mark.parametrize("step_bytes", [1, 24, None])
+def test_deviations_of_int32_columns_are_exact_past_2_31(step_bytes, monkeypatch):
+    # value * count = 2448 * 10**6 is above 2**31, the int32 columns' range
+    rows = [(2448, 10**6, 10**6), (2448, 10**6, 2448 * 10**6), (1, 3, 2),
+            (2448, 999_999, 1), (2448, 10**6, 2**31), (0, 7, 0), (2448, 10**6, 10**6)]
+    value, count, total = (np.array(c, dtype=d) for c, d in zip(
+        zip(*rows), (np.int32, np.int32, np.int64)))
+    table = model.PatternTable((), (), count, total, value, ())
+    if step_bytes is not None:  # one or three entries per step
+        monkeypatch.setattr(model, "_STEP_BYTES", step_bytes)
+    unique, index = table.deviations
+    want = [abs(v * c - t) / c for v, c, t in rows]  # Python integers, then one division
+    assert max(v * c - t for v, c, t in rows) > 2**31
+    assert unique.tolist() == sorted(set(want))
+    assert [unique[i] for i in index.tolist()] == want
+    assert index.dtype == np.int32 and not unique.flags.writeable and not index.flags.writeable
