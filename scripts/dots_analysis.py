@@ -17,7 +17,6 @@ DATA_DIR must contain the four preflib .soc files.
 """
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
 from rank_consensus import (
@@ -32,13 +31,11 @@ from rank_consensus import (
 )
 
 
-def type_deviations(report):
+def type_deviations(rset, report):
     """``(v2, votes)`` per distinct ranking type, in order of first appearance."""
-    table = report.table
-    votes = Counter(table.type_of)
     per_type = detect_outliers(report).per_type
-    return {ranking: (v2, votes[t])
-            for t, (ranking, (_, v2, _)) in enumerate(zip(table.types, per_type))}
+    return {ranking: (v2, votes)
+            for ranking, votes, (_, v2, _) in zip(rset.types, rset.votes.tolist(), per_type)}
 
 
 def recovered_order(pairs, tokens):
@@ -67,7 +64,7 @@ def analyse(path: Path) -> None:
     print(f"weighted kappa1(q={q_half}, gamma=0.5) = {weighted.overall_kappa1:.2f}   "
           f"kappa2(q={q_half}, lambda=0.5) = {weighted.overall_kappa2:.2f}")
 
-    deviations = type_deviations(weighted)
+    deviations = type_deviations(rset, weighted)
     n_remove = min(4, len(deviations) - 1)  # always leave at least one type
     worst = sorted(deviations, key=lambda r: deviations[r][0])[:n_remove]
     print("most deviant ranking types (lambda=0.5):")

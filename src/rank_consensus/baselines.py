@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .errors import ParameterError
 from .model import Ranking, RankingSet
@@ -114,15 +114,17 @@ def kendall_tau_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     n_pairs = len(union) * (len(union) - 1) // 2
     if n_pairs == 0:
         raise ParameterError("top-k union has fewer than two items")
-    total = 0.0
+    # the decided pairs sum as an integer and p is added once, so the value
+    # does not depend on the order in which the item names sort
+    decided = undecided = 0
     for x, y in combinations(union, 2):
         ax, ay = pos_a.get(x), pos_a.get(y)
         bx, by = pos_b.get(x), pos_b.get(y)
         if (ax is None and ay is None) or (bx is None and by is None):
-            total += params.p
+            undecided += 1
         else:
-            total += _order(ax, ay) * _order(bx, by)
-    return total / n_pairs
+            decided += _order(ax, ay) * _order(bx, by)
+    return (decided + params.p * undecided) / n_pairs
 
 
 def spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
@@ -175,7 +177,15 @@ class PairwiseAverages:
 
 def pairwise_average(rset: RankingSet, measure: str,
                      params: TopKParams | None = None) -> PairwiseAverages:
-    """Average a pairwise measure over all ordered pairs of distinct rankings."""
+    """Average a pairwise measure over all ordered pairs of distinct votes.
+
+    The measure is called once per ordered pair of the set's distinct
+    rankings, and on a ranking's pair with itself only when it has two
+    votes or more. Vote ``l``'s mean is the ``math.fsum`` of its type's row,
+    each value repeated once per other vote of that type, over ``n - 1``:
+    the multiset a vote-by-vote scan sums, so the same float. A failure
+    names the votes ``(l, z)`` at which that scan fails first.
+    """
     try:
         fn = _MEASURES[measure]
     except KeyError:
@@ -189,16 +199,28 @@ def pairwise_average(rset: RankingSet, measure: str,
     n = len(rset)
     if n < 2:
         raise ParameterError("need at least two rankings to average pairwise measures")
-    per = []
-    for l in range(n):
-        values = []
-        for z in range(n):
-            if z == l:
-                continue
-            try:
-                values.append(fn(rset[l], rset[z], params))
-            except ParameterError as exc:
-                raise ParameterError(f"{measure} failed for rankings ({l}, {z}): {exc}") from exc
-        per.append(math.fsum(values) / len(values))
+    votes = rset.votes.tolist()
+    means = []
+    for a, ranking in enumerate(rset.types):
+        others = votes.copy()
+        others[a] -= 1
+        try:
+            row = [fn(ranking, other, params) if k else 0.0
+                   for other, k in zip(rset.types, others)]
+        except ParameterError:
+            # the first vote of this type is the first whose scan fails
+            # (every vote before it has an earlier type); scan it to name z
+            l = rset.type_of.index(a)
+            for z in range(n):
+                if z == l:
+                    continue
+                try:
+                    fn(rset[l], rset[z], params)
+                except ParameterError as exc:
+                    raise ParameterError(
+                        f"{measure} failed for rankings ({l}, {z}): {exc}") from exc
+            raise
+        means.append(math.fsum(chain.from_iterable(map(repeat, row, others))) / (n - 1))
+    per = [means[t] for t in rset.type_of]
     overall = math.fsum(per) / n
     return PairwiseAverages(measure=measure, per_ranking=tuple(per), overall=overall)

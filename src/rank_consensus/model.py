@@ -7,17 +7,17 @@ downstream formula treats incomplete rankings uniformly: a ranking contains
 the pattern ``x y`` when ``0 < position(x) <= position(y)``. All types are
 immutable after construction and safe to share across threads.
 
-A set counts its patterns once, on first use, and keeps the result as a
-:class:`PatternTable`: one vectorised pass per ranking length over its
-distinct rankings gives every ordered pattern's support and position/gap
-total. The table lays its entries out length by length, each distinct
-ranking's in the cell order of its support matrix, so the entries of all
-distinct rankings of one length are one contiguous block, and every batch a
-reader takes is a slice of it. An entry holds 16 bytes, and every pass
-over the table works in steps of :data:`_STEP_BYTES`. The table also keeps
-what every threshold and weight reads alike: once a weighted run asks, the
-distinct deviations, an int32 index into them, and each weight base's
-weights of them.
+A set deduplicates its votes once, when it is built, and counts its
+patterns once, on first use, keeping the result as a :class:`PatternTable`:
+one vectorised pass per ranking length over its distinct rankings gives
+every ordered pattern's support and position/gap total. The table lays its
+entries out length by length, each distinct ranking's in the cell order of
+its support matrix, so the entries of all distinct rankings of one length
+are one contiguous block, and every batch a reader takes is a slice of it.
+An entry holds 16 bytes, and every pass over the table works in steps of
+:data:`_STEP_BYTES`. The table also keeps what every threshold and weight
+reads alike: once a weighted run asks, the distinct deviations, an int32
+index into them, and each weight base's weights of them.
 """
 from __future__ import annotations
 
@@ -94,23 +94,32 @@ class Ranking:
 class RankingSet:
     """An immutable collection of rankings over a shared item universe.
 
-    The universe is derived from the rankings themselves; all consensus
-    quantities are functions of ``(RankingSet, q, gamma, lambda)``.
+    Votes are deduplicated here once: ``types`` holds the distinct rankings
+    in first-appearance order, ``type_of[l]`` vote ``l``'s type, read-only
+    ``votes[t]`` the votes of type ``t``, and the universe the types' items.
+    All consensus quantities are functions of ``(RankingSet, q, gamma, lambda)``.
     """
 
     rankings: tuple[Ranking, ...]
+    types: tuple[Ranking, ...] = field(init=False, repr=False, compare=False)
+    type_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    votes: np.ndarray = field(init=False, repr=False, compare=False)
     universe: frozenset[str] = field(init=False, compare=False)
 
     def __init__(self, rankings: Iterable[Ranking]):
-        rs = tuple(rankings)
+        rs = tuple(rankings)  # keeps every vote alive while its id is a key
         if not rs:
             raise ValueError("a ranking set needs at least one ranking")
+        index: dict[Ranking, int] = {}  # votes sharing one object are hashed once
+        by_id = {i: index.setdefault(r, len(index)) for i, r in {id(r): r for r in rs}.items()}
+        type_of = tuple([by_id[id(r)] for r in rs])
+        votes = np.bincount(type_of)
+        votes.flags.writeable = False
         object.__setattr__(self, "rankings", rs)
-        # votes often share one Ranking object: read each object's items once
-        distinct = {id(r): r for r in rs}.values()
-        object.__setattr__(
-            self, "universe", frozenset().union(*(r.item_set for r in distinct))
-        )
+        object.__setattr__(self, "types", tuple(index))
+        object.__setattr__(self, "type_of", type_of)
+        object.__setattr__(self, "votes", votes)
+        object.__setattr__(self, "universe", frozenset().union(*(r.item_set for r in index)))
 
     def __len__(self) -> int:
         return len(self.rankings)
@@ -122,7 +131,7 @@ class RankingSet:
         return self.rankings[index]
 
     def __reduce__(self):
-        # pickle the rankings only; the cached table is recounted on demand
+        # pickle the rankings only; the rest is rebuilt, the table on demand
         return (RankingSet, (self.rankings,))
 
     @cached_property
@@ -133,7 +142,7 @@ class RankingSet:
         a weight, so every scoring run on this set reads the same read-only
         table.
         """
-        return count_patterns(self.rankings)
+        return count_patterns(self)
 
 
 @lru_cache(maxsize=None)
@@ -150,20 +159,20 @@ def lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
 class PatternTable:
     """Pattern counts of a ranking set, laid out length by length.
 
-    ``types`` are the distinct rankings in order of first appearance and
-    ``type_of[l]`` is the type of vote ``l``. ``by_length`` lists, per
-    length ``m`` of the types, ascending, ``(m, group, lo, hi)``: the ``k``
-    types of that length in first-appearance order own the entries
-    ``lo:hi``, ``m(m+1)/2`` per type in that order, and the blocks tile the
-    table. A type's entries are the cells of ``lower_triangle(m)``; cell
-    ``[j, i]`` is the pattern formed by its i-th and j-th items, so
-    ``a[lo:hi].reshape(k, -1)`` is one row of cells per type. Per entry,
-    ``count`` (int32, at most a file's vote limit) is the pattern's support,
-    ``total`` (int64) sums its position, on the diagonal ``rows == cols``,
-    or its gap over the rankings that contain it, and ``value`` (int32) is
-    the type's own position or gap: 16 bytes per entry. ``deviations`` and
-    :meth:`weights` give the deviation weights, computed on first use. All
-    arrays are read-only.
+    ``types`` and ``type_of`` are the counted set's own: its distinct
+    rankings in order of first appearance and each vote's type.
+    ``by_length`` lists, per length ``m`` of the types, ascending,
+    ``(m, group, lo, hi)``: the ``k`` types of that length in
+    first-appearance order own the entries ``lo:hi``, ``m(m+1)/2`` per type
+    in that order, and the blocks tile the table. A type's entries are the
+    cells of ``lower_triangle(m)``; cell ``[j, i]`` is the pattern formed by
+    its i-th and j-th items, so ``a[lo:hi].reshape(k, -1)`` is one row of
+    cells per type. Per entry, ``count`` (int32, at most a file's vote
+    limit) is the pattern's support, ``total`` (int64) sums its position, on
+    the diagonal ``rows == cols``, or its gap over the rankings that contain
+    it, and ``value`` (int32) is the type's own position or gap: 16 bytes
+    per entry. ``deviations`` and :meth:`weights` give the deviation
+    weights, computed on first use. All arrays are read-only.
     """
 
     types: tuple[Ranking, ...]
@@ -178,10 +187,16 @@ class PatternTable:
 
     def weights(self, base: float) -> np.ndarray:
         """``_weight`` of each distinct deviation of the entries; every one is
-        exponentiated once per base per table."""
+        exponentiated once per base per table.
+
+        The products ``deviation * log(base)`` are _weight's own, rounded
+        alike by numpy, and each goes through the same ``math.exp``; a base
+        of 1 or a deviation of 0 gives ``exp(±0.0) = 1.0``, as _weight does.
+        """
         weights = self.weight_memo.get(base)
         if weights is None:
-            weights = np.array([_weight(base, d) for d in self.deviations[0].tolist()])
+            weights = np.array(list(map(
+                math.exp, (self.deviations[0] * math.log(base)).tolist())))
             weights.flags.writeable = False
             self.weight_memo[base] = weights
         return weights
@@ -285,8 +300,8 @@ _STEP_BYTES = 1 << 18
 MAX_ENTRIES = 3 * 10**6
 
 
-def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
-    """One vectorised pass per ranking length over the distinct rankings.
+def count_patterns(rset: RankingSet) -> PatternTable:
+    """One vectorised pass per ranking length over the set's distinct rankings.
 
     A ranking contains ``x y`` when ``0 < pos(x) <= pos(y)``: its own
     lower-triangle cells, plus the reverse of every tied pair, and ``x x``
@@ -294,32 +309,24 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
     keys, positions and gaps as ``(k, m(m+1)/2)`` arrays taken over
     ``lower_triangle(m)``, a few rankings at a time, written straight into
     that length's block of the table. Two ``np.bincount`` calls weighted by
-    multiplicity give the counts and totals, and ``np.add.at`` adds the
-    tied cells' reverse patterns to the counts. Float weights stay exact
-    while the sums are below 2**53, far above any vote total the parsers
-    accept. Each sum is narrowed to its column's dtype before it is
+    the set's vote counts give the counts and totals, and ``np.add.at``
+    adds the tied cells' reverse patterns to the counts. Float weights stay
+    exact while the sums are below 2**53, far above any vote total the
+    parsers accept. Each sum is narrowed to its column's dtype before it is
     gathered per entry.
     Raises :class:`PatternTableTooLargeError`, before allocating the table,
     when it would have more than :data:`MAX_ENTRIES` entries.
     """
-    rankings = tuple(rankings)  # keeps every vote alive while its id is a key
-    index: dict[Ranking, int] = {}
-    by_id: dict[int, int] = {}  # votes sharing one object are hashed once
-    for r in rankings:
-        if id(r) not in by_id:
-            by_id[id(r)] = index.setdefault(r, len(index))
-    type_of = tuple([by_id[id(r)] for r in rankings])
-    types = tuple(index)
-    lengths = [len(r) for r in types]
+    lengths = [len(r) for r in rset.types]
     n_own = sum(m * (m + 1) // 2 for m in lengths)
     if n_own > MAX_ENTRIES:
-        longest = max(range(len(types)), key=lengths.__getitem__)
+        longest = max(range(len(lengths)), key=lengths.__getitem__)
         raise PatternTableTooLargeError(
-            f"vote {type_of.index(longest)} ranks {lengths[longest]} items; the "
+            f"vote {rset.type_of.index(longest)} ranks {lengths[longest]} items; the "
             f"distinct rankings would need {n_own} pattern table entries, above "
             f"the limit of {MAX_ENTRIES}")
-    times = np.bincount(type_of).astype(float)
-    ids = {x: i for i, x in enumerate(sorted(set().union(*(r._positions for r in types))))}
+    times = rset.votes.astype(float)
+    ids = {x: i for i, x in enumerate(sorted(rset.universe))}
     u = len(ids)
     groups: dict[int, list[int]] = {}
     for t, m in enumerate(lengths):
@@ -340,7 +347,7 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
         step = max(1, _STEP_BYTES // (8 * len(rows)))
         for i in range(0, len(group), step):
             part = group[i:i + step]
-            members = [types[t]._positions for t in part.tolist()]
+            members = [rset.types[t]._positions for t in part.tolist()]
             item = np.array([ids[x] for p in members for x in p], dtype=np.int64).reshape(-1, m)
             pos = np.array([v for p in members for v in p.values()], dtype=np.int64).reshape(-1, m)
             at = pos.take(rows, axis=1)  # several times faster than pos[:, rows]
@@ -375,4 +382,4 @@ def count_patterns(rankings: Iterable[Ranking]) -> PatternTable:
         a.flags.writeable = False
     for _, group, _, _ in by_length:
         group.flags.writeable = False
-    return PatternTable(types, type_of, count, total, value, tuple(by_length))
+    return PatternTable(rset.types, rset.type_of, count, total, value, tuple(by_length))

@@ -145,13 +145,12 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
             kappa2[group] = (entries.sum(axis=(1, 2)) - trace) / n_pairs
     for a in (kappa1, kappa2):
         a.flags.writeable = False
-    votes = np.bincount(table.type_of, minlength=len(table.types))
     n = len(rset)
     return ConsensusReport(
         params=params,
         n_rankings=n,
-        overall_kappa1=math.fsum(np.repeat(kappa1, votes).tolist()) / n,
-        overall_kappa2=math.fsum(np.repeat(kappa2, votes).tolist()) / n,
+        overall_kappa1=math.fsum(np.repeat(kappa1, rset.votes).tolist()) / n,
+        overall_kappa2=math.fsum(np.repeat(kappa2, rset.votes).tolist()) / n,
         table=table,
         kappa1=kappa1,
         kappa2=kappa2,

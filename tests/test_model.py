@@ -136,6 +136,7 @@ def test_pattern_stats_counts_ties_both_ways_and_repeats():
     assert table_diagonal(stats).tolist() == [True, False, True, True, False, True,
                                               True, False, True, False, False, True]
     assert rs.pattern_stats is stats
+    assert stats.types is rs.types and stats.type_of is rs.type_of
 
 
 def test_ranking_set_pickles_after_counting(example_set):
@@ -242,6 +243,25 @@ def voted_rankings_st(draw):
     return [Ranking(r.blocks) if draw(st.booleans()) else r for r in votes]
 
 
+@settings(max_examples=100, deadline=None)
+@given(voted_rankings_st())
+def test_ranking_set_maps_each_vote_to_its_distinct_ranking(votes):
+    rset = RankingSet(votes)
+    types, type_of, counts = rset.types, rset.type_of, rset.votes
+    assert len(type_of) == len(rset)
+    assert all(types[t] == r for t, r in zip(type_of, rset))
+    # pairwise distinct, in order of first appearance, each the first vote's object
+    assert len(set(types)) == len(types)
+    assert list(types) == list(dict.fromkeys(rset))
+    assert all(r is rset[type_of.index(t)] for t, r in enumerate(types))
+    assert counts.sum() == len(rset)
+    assert counts.tolist() == [type_of.count(t) for t in range(len(types))]
+    assert not counts.flags.writeable
+    assert rset.universe == frozenset().union(*(r.item_set for r in votes))
+    copy = pickle.loads(pickle.dumps(rset))
+    assert (copy.types, copy.type_of, copy.votes.tolist()) == (types, type_of, counts.tolist())
+
+
 @pytest.mark.parametrize("route", ["default", "dense", "unique"])
 @settings(max_examples=80, deadline=None)
 @given(voted_rankings_st())
@@ -250,7 +270,7 @@ def test_count_patterns_equals_the_per_ranking_reference(route, votes):
     with pytest.MonkeyPatch.context() as mp:
         if route != "default":
             mp.setattr(model, "_DENSE_KEYS", 10**9 if route == "dense" else 0)
-        table = model.count_patterns(votes)
+        table = model.count_patterns(RankingSet(votes))
     assert table.types == want["types"]
     assert table.type_of == want["type_of"]
     for name in ("count", "total", "value"):
@@ -332,9 +352,9 @@ def traced_peak(fn):
 @pytest.mark.parametrize("workload", sorted(SHRUNK))
 def test_counting_memory_per_entry_is_bounded(workload, route, monkeypatch):
     generator, shrink = SHRUNK[workload]
-    votes = bench_votes(generator, **shrink)
+    rset = RankingSet(bench_votes(generator, **shrink))
     monkeypatch.setattr(model, "_DENSE_KEYS", 10**9 if route == "dense" else 0)
-    table, peak = traced_peak(lambda: model.count_patterns(votes))
+    table, peak = traced_peak(lambda: model.count_patterns(rset))
     n = len(table.count)
     assert n >= 10_000
     assert peak / n < COUNT_PEAK[workload, route]
@@ -343,7 +363,7 @@ def test_counting_memory_per_entry_is_bounded(workload, route, monkeypatch):
 @pytest.mark.parametrize("workload", sorted(SHRUNK))
 def test_ranking_deviations_memory_per_entry_is_bounded(workload, monkeypatch):
     generator, shrink = SHRUNK[workload]
-    table = model.count_patterns(bench_votes(generator, **shrink))
+    table = model.count_patterns(RankingSet(bench_votes(generator, **shrink)))
     n = len(table.count)
     monkeypatch.setattr(model, "_STEP_BYTES", DEVIATIONS_STEP)
     (unique, inverse), peak = traced_peak(lambda: table.deviations)
@@ -353,6 +373,17 @@ def test_ranking_deviations_memory_per_entry_is_bounded(workload, monkeypatch):
     deviation = np.abs(table.value.astype(np.int64) * table.count - table.total) / table.count
     want_unique, want_inverse = np.unique(deviation, return_inverse=True)
     assert np.array_equal(unique, want_unique) and np.array_equal(inverse, want_inverse)
+
+
+@pytest.mark.parametrize("generator", ["retrieval_lists", "sweep_rankings"])
+def test_weights_equal_the_per_value_weight(generator):
+    # the benchmark's inputs at full size: 10 097 and 5 774 distinct deviations
+    table = RankingSet(bench_votes(generator)).pattern_stats
+    unique = table.deviations[0]
+    assert unique[0] == 0.0 and len(unique) > 5000
+    for base in (1.0, 0.999999, 0.9, 0.5, 0.2, 1e-300):
+        want = np.array([model._weight(base, d) for d in unique.tolist()])
+        assert table.weights(base).tobytes() == want.tobytes(), base
 
 
 @pytest.mark.parametrize("step_bytes", [1, 24, None])
