@@ -210,10 +210,12 @@ def _write(text: str) -> None:
     raw = getattr(out, "buffer", None)
     if isinstance(raw, RawIOBase):
         # unbuffered stdout (python -u): the text layer drops what a short
-        # write of the file leaves, so the bytes are written here
+        # write of the file leaves, so the bytes are written here, through one
+        # encoder, so that a byte-order mark starts the stream, not each slice
         out.flush()
-        for start in range(0, len(text), _SLICE):
-            data = memoryview(text[start:start + _SLICE].encode(out.encoding, out.errors))
+        encode = codecs.getincrementalencoder(out.encoding)(out.errors).encode
+        for start in range(0, len(text) + 1, _SLICE):  # the last slice, maybe empty, ends it
+            data = memoryview(encode(text[start:start + _SLICE], start + _SLICE > len(text)))
             while data:
                 data = data[raw.write(data):]
     else:

@@ -15,9 +15,12 @@ entries out length by length, each distinct ranking's in the cell order of
 its support matrix, so the entries of all distinct rankings of one length
 are one contiguous block, and every batch a reader takes is a slice of it.
 An entry holds 16 bytes, and every pass over the table works in steps of
-:data:`_STEP_BYTES`. The table also keeps what every threshold and weight
-reads alike: once a weighted run asks, the distinct deviations, an int32
-index into them, and each weight base's weights of them.
+:data:`_STEP_BYTES` but one: :func:`~rank_consensus.support.sets`
+thresholds each length's whole block, 1 byte per entry and two int64 per
+supported cell. The table also keeps what every threshold and weight reads
+alike: once a weighted run asks, the distinct deviations, an int32 index
+into them, and, for each of the last :data:`_WEIGHT_BASES` weight bases
+asked for, its weights of them.
 """
 from __future__ import annotations
 
@@ -159,10 +162,8 @@ def lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
 class PatternTable:
     """Pattern counts of a ranking set, laid out length by length.
 
-    ``types`` and ``type_of`` are the counted set's own: its distinct
-    rankings in order of first appearance and each vote's type.
-    ``by_length`` lists, per length ``m`` of the types, ascending,
-    ``(m, group, lo, hi)``: the ``k`` types of that length in
+    ``by_length`` lists, per length ``m`` of the counted set's ``types``,
+    ascending, ``(m, group, lo, hi)``: the ``k`` types of that length in
     first-appearance order own the entries ``lo:hi``, ``m(m+1)/2`` per type
     in that order, and the blocks tile the table. A type's entries are the
     cells of ``lower_triangle(m)``; cell ``[j, i]`` is the pattern formed by
@@ -175,19 +176,20 @@ class PatternTable:
     weights, computed on first use. All arrays are read-only.
     """
 
-    types: tuple[Ranking, ...]
-    type_of: tuple[int, ...]
     count: np.ndarray
     total: np.ndarray
     value: np.ndarray
     by_length: tuple[tuple[int, np.ndarray, int, int], ...]
-    # weight base -> weight of each distinct deviation, filled by weights();
-    # threads racing on one base only compute equal arrays twice
+    # weight base -> weight of each distinct deviation, filled by weights()
+    # in order of first use; racing threads only compute equal arrays twice
+    # or drop a base early
     weight_memo: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def weights(self, base: float) -> np.ndarray:
-        """``_weight`` of each distinct deviation of the entries; every one is
-        exponentiated once per base per table.
+        """The oracle's ``reference._weight`` of each distinct deviation of
+        the entries; every one is exponentiated once per base while the base
+        is among the last :data:`_WEIGHT_BASES` asked for, and the oldest
+        base is dropped for a new one past them.
 
         The products ``deviation * log(base)`` are _weight's own, rounded
         alike by numpy, and each goes through the same ``math.exp``; a base
@@ -199,6 +201,8 @@ class PatternTable:
                 math.exp, (self.deviations[0] * math.log(base)).tolist())))
             weights.flags.writeable = False
             self.weight_memo[base] = weights
+            for old in list(self.weight_memo)[:-_WEIGHT_BASES]:
+                self.weight_memo.pop(old, None)
         return weights
 
     @cached_property
@@ -238,13 +242,6 @@ class PatternTable:
         for a in (unique, index):
             a.flags.writeable = False
         return unique, index
-
-
-def _weight(base: float, deviation: float) -> float:
-    # base == 1 short-circuits so plain mode yields exactly 1.0
-    if base == 1.0 or deviation == 0.0:
-        return 1.0
-    return math.exp(deviation * math.log(base))
 
 
 def unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,6 +286,13 @@ _DENSE_KEYS = 2
 # matrix cell for support.fill's float and bool batches, where 16 MB batches
 # peaked 2.2 MB higher
 _STEP_BYTES = 1 << 18
+# most weight bases whose weights a table keeps: sweep's benchmark grid uses
+# 2, the README's sweep 3. In one process on a 2-vCPU VM, sweep's 12-point
+# grid scored in 35.7 ms with the memo and 40.9 ms without it (medians of 40
+# alternating reps); without a bound, a sweep over 3 000 gammas on sweep's
+# input held 8 bytes per distinct deviation per base and peaked at 173.4 MB
+# against 41.0 MB with it (os.wait4)
+_WEIGHT_BASES = 4
 # most entries the pattern table of one set may have; each distinct ranking of
 # m items owns m(m+1)/2, so one ranking may hold up to 2448 items. The
 # heaviest commands, `score` and `patterns` as JSON at q = 1, print every
@@ -382,4 +386,4 @@ def count_patterns(rset: RankingSet) -> PatternTable:
         a.flags.writeable = False
     for _, group, _, _ in by_length:
         group.flags.writeable = False
-    return PatternTable(rset.types, rset.type_of, count, total, value, tuple(by_length))
+    return PatternTable(count, total, value, tuple(by_length))

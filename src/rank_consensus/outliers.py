@@ -58,7 +58,7 @@ def detect_outliers(report: ConsensusReport, eps1: float = 0.4, eps2: float = 0.
             raise ParameterError(f"{name} must be positive and finite, got {value}")
     mean1 = report.overall_kappa1
     mean2 = report.overall_kappa2
-    if all(len(ranking) == 1 for ranking in report.table.types):
+    if all(len(ranking) == 1 for ranking in report.rset.types):
         raise DegenerateConsensusError(
             "relative deviations are undefined: every ranking has a single item, "
             f"so there are no pairs and kappa2 is 0 by convention (kappa1={mean1})"

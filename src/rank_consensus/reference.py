@@ -11,9 +11,11 @@ deviation helpers rescan the set for one item or pattern.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .model import Ranking, RankingSet, _weight
+from .model import Ranking, RankingSet
 from .support import RankingSupport, SupportMatrix, SupportSets, _check_params
 
 
@@ -30,6 +32,13 @@ def contains_pattern(r: Ranking, x: str, y: str) -> bool:
 def _deviation(value: int, total: int, count: int) -> float:
     # |value - total/count| with an exact integer numerator
     return abs(value * count - total) / count
+
+
+def _weight(base: float, deviation: float) -> float:
+    # base == 1 short-circuits so plain mode yields exactly 1.0
+    if base == 1.0 or deviation == 0.0:
+        return 1.0
+    return math.exp(deviation * math.log(base))
 
 
 def support_count(x: str, y: str, rset: RankingSet) -> int:

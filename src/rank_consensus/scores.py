@@ -15,8 +15,8 @@ dropped once reduced. Everything that depends on the set alone (counts,
 their length-by-length layout, deviation weights) is kept with the set, so
 scoring one set at many grid points, as ``sweep`` does, pays per point only
 for thresholding, weighting, filling and reducing. A report holds just the
-set's table, its parameters and the per-type scores, so a kept report
-adds no array the size of the table. Vote ``l``'s scores are
+set, its parameters and the per-type scores, so a kept report adds no
+array the size of the table. Vote ``l``'s scores are the set's
 ``per_type[type_of[l]]``. Its supported patterns, read off the table and
 sorted once per distinct ranking, are built only when first read; the
 per-vote matrices are :func:`~rank_consensus.support.support_matrices_fast`'s,
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import support
 from .errors import ParameterError
-from .model import PatternTable, RankingSet
+from .model import RankingSet
 # support_matrices_fast and support_sets are not called here, but
 # perfbench/spans.py traces them under this module's name
 from .reference import support_sets  # noqa: F401
@@ -83,11 +83,11 @@ class ConsensusReport:
     """Everything a scoring run produced, in one place.
 
     Scores are held once per distinct ranking: ``kappa1``/``kappa2`` are
-    indexed by type, and ``type_of[l]`` is the type of vote ``l``. Besides
-    them a report holds just the set's pattern ``table`` and the ``params``;
-    the supported-pattern ``sets``, held per distinct ranking like the
-    scores, are built from those two the first time they are read, so runs
-    whose output never prints them neither pay for them nor keep them.
+    indexed like ``rset.types``, and ``type_of[l]`` is the type of vote
+    ``l``. Besides them a report holds just the scored ``rset`` and the
+    ``params``; the supported-pattern ``sets``, held per distinct ranking
+    like the scores, are built from those two the first time they are read,
+    so runs whose output never prints them neither pay for them nor keep them.
     ``original_indices`` records, for a report of
     :func:`~rank_consensus.outliers.remove_and_rescore`, the index in the
     original set of each vote it scored; it is ``None`` for a report of a
@@ -95,17 +95,20 @@ class ConsensusReport:
     """
 
     params: ScoreParams
-    n_rankings: int
     overall_kappa1: float
     overall_kappa2: float
-    table: PatternTable
+    rset: RankingSet
     kappa1: np.ndarray
     kappa2: np.ndarray
     original_indices: tuple[int, ...] | None = None
 
     @property
+    def n_rankings(self) -> int:
+        return len(self.rset)
+
+    @property
     def type_of(self) -> tuple[int, ...]:
-        return self.table.type_of
+        return self.rset.type_of
 
     @cached_property
     def per_type(self) -> tuple[tuple[int, int, float, float, bool], ...]:
@@ -113,7 +116,7 @@ class ConsensusReport:
         ``singleton`` marks a one-item ranking, whose ``kappa2`` is 0 by
         convention (it has no pairs to certify)."""
         rows = []
-        for ranking, kappa1, kappa2 in zip(self.table.types, self.kappa1.tolist(),
+        for ranking, kappa1, kappa2 in zip(self.rset.types, self.kappa1.tolist(),
                                            self.kappa2.tolist()):
             m = len(ranking)
             n_pairs = m * (m - 1) // 2
@@ -122,7 +125,7 @@ class ConsensusReport:
 
     @cached_property
     def sets(self) -> SupportSets:
-        return support.sets(self.table, self.params.q)
+        return support.sets(self.rset, self.params.q)
 
 
 def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
@@ -133,10 +136,10 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
     averages sum every vote's scores with ``math.fsum``.
     """
     support._check_params(rset, params.q, params.gamma, params.lam)
-    table = rset.pattern_stats
-    kappa1 = np.empty(len(table.types))
-    kappa2 = np.zeros(len(table.types))  # 0 by convention without pairs
-    for group, _, entries in support.fill(table, params.q, params.gamma, params.lam):
+    kappa1 = np.empty(len(rset.types))
+    kappa2 = np.zeros(len(rset.types))  # 0 by convention without pairs
+    for group, _, entries in support.fill(rset.pattern_stats, params.q, params.gamma,
+                                          params.lam):
         m = entries.shape[1]
         n_pairs = m * (m - 1) // 2
         trace = np.trace(entries, axis1=1, axis2=2)
@@ -148,10 +151,9 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
     n = len(rset)
     return ConsensusReport(
         params=params,
-        n_rankings=n,
         overall_kappa1=math.fsum(np.repeat(kappa1, rset.votes).tolist()) / n,
         overall_kappa2=math.fsum(np.repeat(kappa2, rset.votes).tolist()) / n,
-        table=table,
+        rset=rset,
         kappa1=kappa1,
         kappa2=kappa2,
     )

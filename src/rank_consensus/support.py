@@ -18,11 +18,11 @@ table's counts and deviation index, so a pass over the table allocates one
 batch at a time; they agree entrywise with the full-scan oracle in
 :mod:`~rank_consensus.reference`. Scores reduce each batch as it is filled
 and drop it. :func:`sets` reads the supported patterns, the entries whose
-count reaches ``q``, off each length's slice of the counts, per distinct
-ranking and with no matrix, sorted as printed.
+count reaches ``q``, off each length's whole block of the counts, per
+distinct ranking and with no matrix, sorted as printed.
 :func:`support_matrices_fast` is the one per-vote view of filled batches, in
 which duplicate rankings share one matrix, for tests and inspection; only it
-fills the bool ``supported`` matrices.
+scatters the batches' masks into bool ``supported`` matrices.
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ class RankingSupport:
 class SupportSets:
     """Global and per-type supported patterns, each sorted as printed.
 
-    ``per_type`` is indexed like ``table.types``; the global patterns are
+    ``per_type`` is indexed like the set's ``types``; the global patterns are
     their union. Pairs keep the order in which their owner ranking presents
     them, so both ``(x, y)`` and ``(y, x)`` may appear.
     """
@@ -94,17 +94,17 @@ def _check_params(rset: RankingSet, q: int, gamma: float, lam: float) -> None:
 
 
 def fill(table: PatternTable, q: int, gamma: float,
-         lam: float) -> Iterator[tuple[np.ndarray, slice, np.ndarray]]:
+         lam: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The weight matrices of the table's distinct rankings, batch by batch.
 
-    Yields ``(group, cells, entries)``: the type indices of ``k`` distinct
-    rankings of one length ``m``, the slice of the table entries they own,
-    and their fresh read-only ``(k, m, m)`` weight matrices, filled by fancy
-    indexing from that slice's weights. Each batch is thresholded and
-    weighted from its own slice of the counts and of the deviation index,
-    so nothing the size of the table is made; the first weighted call ranks
-    the deviations. Batches split under ``model._STEP_BYTES`` as it is when
-    this is called. The parameters are not checked here.
+    Yields ``(group, supported, entries)``: the type indices of ``k`` distinct
+    rankings of one length ``m``, the ``(k, m(m+1)/2)`` mask of their entries
+    that reach ``q``, and their fresh read-only ``(k, m, m)`` weight matrices,
+    filled by fancy indexing from the masked weights. Each batch is
+    thresholded and weighted from its own slice of the counts and of the
+    deviation index, so nothing the size of the table is made; the first
+    weighted call ranks the deviations. Batches split under
+    ``model._STEP_BYTES`` as it is when this is called. Parameters unchecked.
     """
     weighted = (gamma, lam) != (1.0, 1.0)
     if weighted:
@@ -130,21 +130,22 @@ def fill(table: PatternTable, q: int, gamma: float,
             entries = np.zeros((len(part), m, m))
             entries[:, rows, cols] = weights
             entries.flags.writeable = False
-            yield part, cells, entries
+            yield part, supported, entries
 
 
-def sets(table: PatternTable, q: int) -> SupportSets:
-    """The supported patterns of every distinct ranking, read off the table
-    entries that reach the threshold: one ``np.nonzero`` per length, and
-    each ranking's patterns sorted once."""
-    per_type: list[RankingSupport] = [None] * len(table.types)
+def sets(rset: RankingSet, q: int) -> SupportSets:
+    """The supported patterns of every distinct ranking of ``rset``, read off
+    its table's entries that reach the threshold: one ``np.nonzero`` per
+    length, and each ranking's patterns sorted once."""
+    table = rset.pattern_stats
+    per_type: list[RankingSupport] = [None] * len(rset.types)
     for m, group, lo, hi in table.by_length:
         rows, cols = lower_triangle(m)
         k, cell = np.nonzero((table.count[lo:hi] >= q).reshape(len(group), len(rows)))
         bounds = np.searchsorted(k, np.arange(len(group) + 1)).tolist()
         firsts, seconds = cols[cell].tolist(), rows[cell].tolist()
         for t, a, b in zip(group.tolist(), bounds, bounds[1:]):
-            items = table.types[t].items
+            items = rset.types[t].items
             cells = list(zip(firsts[a:b], seconds[a:b]))
             per_type[t] = RankingSupport(
                 singles=tuple(sorted(items[i] for i, j in cells if i == j)),
@@ -167,13 +168,12 @@ def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
     ``supported`` array.
     """
     _check_params(rset, q, gamma, lam)
-    table = rset.pattern_stats
-    shared: list[tuple] = [()] * len(table.types)
-    for group, cells, entries in fill(table, q, gamma, lam):
+    shared: list[tuple] = [()] * len(rset.types)
+    for group, supported, entries in fill(rset.pattern_stats, q, gamma, lam):
         rows, cols = lower_triangle(entries.shape[1])
         mask = np.zeros(entries.shape, dtype=bool)
-        mask[:, rows, cols] = (table.count[cells] >= q).reshape(len(group), len(rows))
+        mask[:, rows, cols] = supported
         mask.flags.writeable = False
         for t, e, s in zip(group.tolist(), entries, mask):
-            shared[t] = (table.types[t].items, e, s)
-    return [SupportMatrix(l, *shared[t]) for l, t in enumerate(table.type_of)]
+            shared[t] = (rset.types[t].items, e, s)
+    return [SupportMatrix(l, *shared[t]) for l, t in enumerate(rset.type_of)]

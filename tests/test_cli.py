@@ -533,15 +533,18 @@ def test_stdout_is_the_emitted_report_written_in_slices(tmp_path, monkeypatch, a
 
         monkeypatch.setattr(cli, name, record)
     monkeypatch.setattr(cli, "_SLICE", 3)
-    if unbuffered:
-        raw = Trickle()
-        stream = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
-    else:
-        raw = io.BytesIO()
-        stream = io.TextIOWrapper(raw, encoding="utf-8")
-    monkeypatch.setattr(sys, "stdout", stream)
-    code = cli.main([argv[0], str(path), "--format", fmt, *argv[1:]])
-    assert code == 0
-    assert len(emitted) == 1
-    data = raw.data if unbuffered else raw.getvalue()
-    assert bytes(data) == emitted[0].encode("utf-8")
+    # a byte-order mark starts the stream once, however many slices follow
+    for encoding in ("utf-8", "utf-8-sig", "utf-16"):
+        emitted.clear()
+        if unbuffered:
+            raw = Trickle()
+            stream = io.TextIOWrapper(raw, encoding=encoding, write_through=True)
+        else:
+            raw = io.BytesIO()
+            stream = io.TextIOWrapper(raw, encoding=encoding)
+        monkeypatch.setattr(sys, "stdout", stream)
+        code = cli.main([argv[0], str(path), "--format", fmt, *argv[1:]])
+        assert code == 0
+        assert len(emitted) == 1
+        data = raw.data if unbuffered else raw.getvalue()
+        assert bytes(data) == emitted[0].encode(encoding), encoding

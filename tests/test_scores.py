@@ -111,9 +111,9 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
     calls = []
     real = support.sets
 
-    def counting(table, q):
+    def counting(rset, q):
         calls.append(1)
-        return real(table, q)
+        return real(rset, q)
 
     monkeypatch.setattr(support, "sets", counting)
     grid = [(q, base, base) for q in (1, 3, 5, 10) for base in (1.0, 0.7, 0.2)]
@@ -146,7 +146,7 @@ def test_table_read_sets_equal_the_reference(route, rset, base):
             rep = score(rset, ScoreParams(q=q, gamma=base, lam=base))
             assert_sets_equal_reference(rep, reference.support_sets(support_matrices_fast(rset, q)))
             # the votes of one distinct ranking share its patterns
-            assert len(rep.sets.per_type) == len(rset.pattern_stats.types)
+            assert len(rep.sets.per_type) == len(rset.types)
 
 
 @pytest.mark.parametrize("budget", [None, 1, 250])
@@ -254,6 +254,23 @@ def test_cached_state_cannot_change_results():
     for a in cached:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
+
+
+def test_weight_memo_keeps_the_last_four_bases():
+    votes = bench_votes("sweep_rankings", n=60)
+    rset = RankingSet(votes)
+    # seven bases in all, and 0.9 and 0.5 asked for again once dropped
+    grid = [(30, g, 0.5) for g in (0.9, 0.8, 0.7, 0.6, 0.4, 0.3, 0.9)]
+    grid += [(45, 0.2, 1.0), (15, 1.0, 0.5)]
+    for p in grid:
+        rep = score(rset, ScoreParams(*p))
+        assert len(rset.pattern_stats.weight_memo) <= 4
+        fresh = score(RankingSet(votes), ScoreParams(*p))
+        assert rep.kappa1.tobytes() == fresh.kappa1.tobytes(), p
+        assert rep.kappa2.tobytes() == fresh.kappa2.tobytes(), p
+        assert (rep.overall_kappa1, rep.overall_kappa2) == (fresh.overall_kappa1,
+                                                            fresh.overall_kappa2)
+    assert list(rset.pattern_stats.weight_memo) == [0.3, 0.9, 0.2, 0.5]
 
 
 def test_kept_reports_hold_no_table_sized_state():

@@ -1,5 +1,7 @@
 import importlib.util
 import re
+import shutil
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -53,3 +55,25 @@ def test_dots_analysis_reports_an_unreadable_file(tmp_path, capsys):
     assert dots.main([str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "folder.soc" in err and err.count("\n") == 1
+
+
+def test_ab_inproc_alternates_two_trees_on_one_workload(capsys):
+    src = SCRIPTS.parent / "src"
+    ab = load_script("ab_inproc")
+    assert ab.main([str(src), str(src), "--workload", "retrieval", "--reps", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "retrieval: 2 reps, seed 1, time per cli.main call"
+    assert [line.split(":")[0] for line in out[1:3]] == ["parent", "change"]
+    assert re.fullmatch(r"change faster in [0-2] of 2 reps", out[3])
+    assert not any(m.startswith(("ab_parent", "ab_change")) for m in sys.modules)
+
+
+def test_ab_inproc_fails_when_the_outputs_differ(tmp_path, capsys):
+    src = SCRIPTS.parent / "src"
+    shutil.copytree(src / "rank_consensus", tmp_path / "rank_consensus",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "rank_consensus" / "cli.py"
+    cli.write_text(cli.read_text().replace("_write(out)", "_write(out + ' ')"))
+    ab = load_script("ab_inproc")
+    assert ab.main([str(src), str(tmp_path), "--workload", "retrieval", "--reps", "2"]) == 1
+    assert capsys.readouterr().err == "error: outputs differ in rep 0\n"
