@@ -15,15 +15,21 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import os
 import sys
-from io import RawIOBase
 
-from .baselines import TopKParams, pairwise_average
-from .errors import ConsensusError, ParameterError, PatternTableTooLargeError
-from .io import emit_patterns, emit_report, emit_sweep, parse_rankings
-from .outliers import detect_outliers, remove_and_rescore
-from .scores import ScoreParams, q_from_fraction, score
+# numpy's OpenBLAS starts a worker thread per CPU when it loads, which the
+# first package import below does; nothing here calls BLAS, so one thread
+# does the same work without the worker's start-up cost. A value the user
+# set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .baselines import TopKParams, pairwise_average  # noqa: E402
+from .errors import ConsensusError, ParameterError, PatternTableTooLargeError  # noqa: E402
+from .io import emit_patterns, emit_report, emit_sweep, parse_rankings  # noqa: E402
+from .outliers import detect_outliers, remove_and_rescore  # noqa: E402
+from .scores import ScoreParams, q_from_fraction, score  # noqa: E402
 
 
 def _str_list(text: str) -> list[str]:
@@ -208,20 +214,40 @@ def _write(text: str) -> None:
                 raise OSError(f"stdout's encoding {encoding} cannot encode "
                               f"{exc.object[exc.start]!r}") from None
     raw = getattr(out, "buffer", None)
-    if isinstance(raw, RawIOBase):
-        # unbuffered stdout (python -u): the text layer drops what a short
-        # write of the file leaves, so the bytes are written here, through one
-        # encoder, so that a byte-order mark starts the stream, not each slice
+    if isinstance(raw, io.RawIOBase):
+        # unbuffered stdout (python -u): its text layer drops what a short
+        # write of the file leaves, so the text goes through buffered layers
+        # of its own. Python starts them by the rule it starts stdout by, so
+        # a byte-order mark comes out where a buffered stdout writes one
         out.flush()
-        encode = codecs.getincrementalencoder(out.encoding)(out.errors).encode
-        for start in range(0, len(text) + 1, _SLICE):  # the last slice, maybe empty, ends it
-            data = memoryview(encode(text[start:start + _SLICE], start + _SLICE > len(text)))
-            while data:
-                data = data[raw.write(data):]
+        with io.TextIOWrapper(io.BufferedWriter(_Lent(raw)), encoding=out.encoding,
+                              errors=out.errors) as stream:
+            for start in range(0, len(text), _SLICE):
+                stream.write(text[start:start + _SLICE])
     else:
         for start in range(0, len(text), _SLICE):
             out.write(text[start:start + _SLICE])
         out.flush()
+
+
+class _Lent(io.RawIOBase):
+    """A raw file lent to layers that close it when they are done, or fail:
+    they close this, and the file stays open for the rest of the run."""
+
+    def __init__(self, raw: io.RawIOBase):
+        self.raw = raw
+
+    def writable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return self.raw.seekable()
+
+    def tell(self) -> int:
+        return self.raw.tell()
+
+    def write(self, data) -> int:
+        return self.raw.write(data)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -254,5 +280,22 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry_point() -> None:
+    """Run :func:`main` as the process, the console script's and
+    ``python -m rank_consensus.cli``'s entry: flush stdout and stderr, then
+    exit at once, skipping the teardown of every module and object, which
+    would hold stdout open for tens of milliseconds after the report."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:  # what --help printed, say, to a closed pipe
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry_point()

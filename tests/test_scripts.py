@@ -77,3 +77,28 @@ def test_ab_inproc_fails_when_the_outputs_differ(tmp_path, capsys):
     ab = load_script("ab_inproc")
     assert ab.main([str(src), str(tmp_path), "--workload", "retrieval", "--reps", "2"]) == 1
     assert capsys.readouterr().err == "error: outputs differ in rep 0\n"
+
+
+def test_ab_spawn_alternates_two_trees_in_child_processes(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # as when run from there
+    src = SCRIPTS.parent / "src"
+    ab = load_script("ab_spawn")
+    assert ab.main([str(src), str(src), "--workload", "retrieval", "--reps", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "retrieval: 2 reps, seed 1, one child process per run"
+    for line, side in zip(out[1:3], ab.SIDES):
+        assert re.fullmatch(rf"{side}: wall median \S+ s, quartiles \[\S+, \S+\]; "
+                            r"cpu median \S+ s, quartiles \[\S+, \S+\]", line)
+    assert re.fullmatch(r"change faster in [0-2] of 2 reps", out[3])
+
+
+def test_ab_spawn_fails_when_the_outputs_differ(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    src = SCRIPTS.parent / "src"
+    shutil.copytree(src / "rank_consensus", tmp_path / "rank_consensus",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "rank_consensus" / "cli.py"
+    cli.write_text(cli.read_text().replace("_write(out)", "_write(out + ' ')"))
+    ab = load_script("ab_spawn")
+    assert ab.main([str(src), str(tmp_path), "--workload", "retrieval", "--reps", "2"]) == 1
+    assert capsys.readouterr().err == "error: outputs differ in rep 0\n"
