@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="kendall", help="correlation measure (default: kendall)")
     p_corr.add_argument("--topk", type=int, default=None,
                         help="prefix length k for the top-k measures")
-    p_corr.add_argument("--penalty", type=float, default=0.0,
+    p_corr.add_argument("--penalty", type=float, default=None,
                         help="credit p in [0, 1] for pairs absent from one list "
                              "(kendall_topk; default: 0)")
     p_corr.add_argument("--ell", type=int, default=None,
@@ -172,9 +172,8 @@ def _run(args: argparse.Namespace) -> str:
 
     params = None
     if args.measure.endswith("_topk"):
-        if args.topk is None:
-            raise ParameterError(f"--topk is required for measure {args.measure!r}")
-        params = TopKParams(k=args.topk, p=args.penalty, ell=args.ell)
+        params = TopKParams(k=args.topk, p=0.0 if args.penalty is None else args.penalty,
+                            ell=args.ell)
     averages = pairwise_average(rset, args.measure, params)
     return emit_report(averages, args.out_format)
 
@@ -188,6 +187,22 @@ def _reject_separator_values(argv: list[str]) -> None:
         flag, _, value = token.partition("=")
         if flag.startswith("--") and value == "--":
             raise ParameterError(f"{flag} needs a value, got '--'")
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Raise for a flag that the chosen command or measure would ignore, or
+    for ``--topk`` missing where the measure needs it."""
+    if args.command == "outliers" and args.absolute_q and not args.remove:
+        raise ParameterError("--absolute-q applies only with --remove")
+    if args.command != "correlate":
+        return
+    if args.topk is None and args.measure.endswith("_topk"):
+        raise ParameterError(f"--topk is required for measure {args.measure!r}")
+    for flag, value, measures in (("--topk", args.topk, ("kendall_topk", "spearman_topk")),
+                                  ("--penalty", args.penalty, ("kendall_topk",)),
+                                  ("--ell", args.ell, ("spearman_topk",))):
+        if value is not None and args.measure not in measures:
+            raise ParameterError(f"{flag} does not apply to measure {args.measure!r}")
 
 
 # characters of a report written per call, so that no encoded copy of the
@@ -213,41 +228,9 @@ def _write(text: str) -> None:
             except UnicodeEncodeError as exc:
                 raise OSError(f"stdout's encoding {encoding} cannot encode "
                               f"{exc.object[exc.start]!r}") from None
-    raw = getattr(out, "buffer", None)
-    if isinstance(raw, io.RawIOBase):
-        # unbuffered stdout (python -u): its text layer drops what a short
-        # write of the file leaves, so the text goes through buffered layers
-        # of its own. Python starts them by the rule it starts stdout by, so
-        # a byte-order mark comes out where a buffered stdout writes one
-        out.flush()
-        with io.TextIOWrapper(io.BufferedWriter(_Lent(raw)), encoding=out.encoding,
-                              errors=out.errors) as stream:
-            for start in range(0, len(text), _SLICE):
-                stream.write(text[start:start + _SLICE])
-    else:
-        for start in range(0, len(text), _SLICE):
-            out.write(text[start:start + _SLICE])
-        out.flush()
-
-
-class _Lent(io.RawIOBase):
-    """A raw file lent to layers that close it when they are done, or fail:
-    they close this, and the file stays open for the rest of the run."""
-
-    def __init__(self, raw: io.RawIOBase):
-        self.raw = raw
-
-    def writable(self) -> bool:
-        return True
-
-    def seekable(self) -> bool:
-        return self.raw.seekable()
-
-    def tell(self) -> int:
-        return self.raw.tell()
-
-    def write(self, data) -> int:
-        return self.raw.write(data)
+    for start in range(0, len(text), _SLICE):
+        out.write(text[start:start + _SLICE])
+    out.flush()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -261,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         _reject_separator_values(argv)
+        _check_flags(args)
         out = _run(args)
     except (ConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -274,17 +258,30 @@ def main(argv: list[str] | None = None) -> int:
         # e.g. the reader closed the pipe; stdout goes to devnull so that
         # flushing it at exit cannot fail again
         if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
+def _buffered(out):
+    """``out``, or for an unbuffered stdout (``python -u``), whose text layer
+    drops what a short write leaves, the layers Python gives a buffered one
+    over the same raw file, which ``out`` closes when it is collected."""
+    if not isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        return out
+    return io.TextIOWrapper(io.BufferedWriter(out.buffer), encoding=out.encoding,
+                            errors=out.errors)
+
+
 def entry_point() -> None:
     """Run :func:`main` as the process, the console script's and
-    ``python -m rank_consensus.cli``'s entry: flush stdout and stderr, then
-    exit at once, skipping the teardown of every module and object, which
-    would hold stdout open for tens of milliseconds after the report."""
+    ``python -m rank_consensus.cli``'s entry: give an unbuffered stdout
+    buffered layers, run, flush stdout and stderr, then exit at once,
+    skipping the teardown of every module and object, which would hold
+    stdout open for tens of milliseconds after the report."""
+    sys.stdout = _buffered(sys.stdout)  # sys.__stdout__ keeps the old layers
     code = main()
     try:
         if sys.stdout is not None:

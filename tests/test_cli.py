@@ -137,6 +137,27 @@ def test_topk_parameter_errors_name_no_ranking_pair(example_file, capsys, argv):
     assert "rankings" not in err and "(0, 1)" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("correlate", "--measure", "kendall", "--topk", "2"), "--topk"),
+    (("correlate", "--measure", "spearman", "--topk", "2"), "--topk"),
+    (("correlate", "--penalty", "0.5"), "--penalty"),
+    (("correlate", "--measure", "spearman_topk", "--topk", "2", "--penalty", "0"), "--penalty"),
+    (("correlate", "--ell", "3"), "--ell"),
+    (("correlate", "--measure", "kendall_topk", "--topk", "2", "--ell", "3"), "--ell"),
+    (("outliers", "--absolute-q"), "--absolute-q"),
+])
+def test_a_flag_the_command_would_ignore_exits_one_naming_it(example_file, capsys, argv,
+                                                             flag):
+    code, out, err = run(capsys, argv[0], example_file, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_kendall_topk_penalty_defaults_to_zero(example_file, capsys):
+    argv = ("correlate", example_file, "--measure", "kendall_topk", "--topk", "3")
+    assert run(capsys, *argv) == run(capsys, *argv, "--penalty", "0")
+
+
 def test_correlate_incomparable_universes(example_file, capsys):
     code, _, err = run(capsys, "correlate", example_file, "--measure", "kendall")
     assert code == 1
@@ -455,6 +476,18 @@ def test_closed_stdout_exits_one_with_one_error_line(tmp_path, unbuffered):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+def test_a_failed_write_leaves_no_file_open(example_file, monkeypatch):
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert cli.main(["score", example_file]) == 1
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_unencodable_report_exits_one_with_one_error_line(tmp_path, fmt):
     path = tmp_path / "rankings.txt"
@@ -536,9 +569,10 @@ def test_stdout_is_the_emitted_report_written_in_slices(tmp_path, monkeypatch, a
     # a byte-order mark starts the stream once, however many slices follow
     for encoding in ("utf-8", "utf-8-sig", "utf-16"):
         emitted.clear()
-        if unbuffered:
+        if unbuffered:  # python -u's stdout, layered as the process entry layers it
             raw = Trickle()
-            stream = io.TextIOWrapper(raw, encoding=encoding, write_through=True)
+            unbuffered_stdout = io.TextIOWrapper(raw, encoding=encoding, write_through=True)
+            stream = cli._buffered(unbuffered_stdout)
         else:
             raw = io.BytesIO()
             stream = io.TextIOWrapper(raw, encoding=encoding)

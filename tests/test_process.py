@@ -155,14 +155,15 @@ def test_a_parse_error_exits_one_with_one_error_line(tmp_path, unbuffered):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-def test_a_failed_flush_at_exit_exits_one_with_one_error_line():
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_failed_flush_at_exit_exits_one_with_one_error_line(unbuffered):
     # --help leaves its text in stdout's buffer for the exit to flush
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run([sys.executable, "-m", "rank_consensus.cli", "--help"],
-                              stdout=write, stderr=subprocess.PIPE, env=child_env(),
-                              text=True, timeout=120)
+                              stdout=write, stderr=subprocess.PIPE,
+                              env=child_env(unbuffered), text=True, timeout=120)
     finally:
         os.close(write)
     assert proc.returncode == 1
