@@ -40,7 +40,7 @@ _MODULE_OF = {
     "score": "scores",
     "spearman_rho": "baselines",
     "spearman_rho_topk": "baselines",
-    "support_matrices_fast": "support",
+    "support_matrices_fast": "scores",
 }
 
 __all__ = sorted(_MODULE_OF)

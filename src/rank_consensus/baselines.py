@@ -53,14 +53,14 @@ class TopKParams:
 
     ``p`` is the credit given to pairs absent from one list entirely
     (kendall only); ``ell`` the position charged to items missing from a
-    list (spearman only; defaults to ``k + 1``).
+    list (spearman only; defaults to ``k + 1``). Checked once, when built.
     """
 
     k: int
     p: float = 0.0
     ell: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ParameterError(f"k must be a positive integer, got {self.k!r}")
         if not 0.0 <= self.p <= 1.0:
@@ -108,7 +108,6 @@ def kendall_tau_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
         (0 = neutral-pessimistic, 1/2 = random, 1 = optimistic).
     The sum is normalised by the number of union pairs.
     """
-    params.validate()
     pos_a, pos_b = _topk_prefixes(a, b, params.k)
     union = sorted(set(pos_a) | set(pos_b))
     n_pairs = len(union) * (len(union) - 1) // 2
@@ -133,7 +132,6 @@ def spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     Items missing from a prefix are charged the fixed position ``ell``
     (default ``k + 1``), then positions are Pearson-correlated as usual.
     """
-    params.validate()
     pos_a, pos_b = _topk_prefixes(a, b, params.k)
     union = sorted(set(pos_a) | set(pos_b))
     if len(union) < 2:
@@ -195,7 +193,6 @@ def pairwise_average(rset: RankingSet, measure: str,
     if measure.endswith("_topk"):
         if params is None:
             raise ParameterError(f"measure {measure!r} needs TopKParams")
-        params.validate()
     n = len(rset)
     if n < 2:
         raise ParameterError("need at least two rankings to average pairwise measures")

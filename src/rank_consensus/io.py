@@ -39,10 +39,9 @@ from types import SimpleNamespace
 
 from .baselines import PairwiseAverages
 from .errors import ParameterError, ParseError
-from .model import Ranking, RankingSet
+from .model import Ranking, RankingSet, RankingSupport, SupportSets
 from .outliers import OutlierReport
 from .scores import ConsensusReport
-from .support import RankingSupport, SupportSets
 
 # ---------------------------------------------------------------------------
 # parsing

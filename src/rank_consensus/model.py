@@ -15,12 +15,18 @@ entries out length by length, each distinct ranking's in the cell order of
 its support matrix, so the entries of all distinct rankings of one length
 are one contiguous block, and every batch a reader takes is a slice of it.
 An entry holds 16 bytes, and every pass over the table works in steps of
-:data:`_STEP_BYTES` but one: :func:`~rank_consensus.support.sets`
+:data:`_STEP_BYTES` but one: :func:`~rank_consensus.scores.sets`
 thresholds each length's whole block, 1 byte per entry and two int64 per
 supported cell. The table also keeps what every threshold and weight reads
 alike: once a weighted run asks, the distinct deviations, an int32 index
 into them, and, for each of the last :data:`_WEIGHT_BASES` weight bases
 asked for, its weights of them.
+
+The table-read routes of :mod:`~rank_consensus.scores` and the oracle in
+:mod:`~rank_consensus.reference` return the same support matrix and
+supported-pattern types and check their parameters with the same
+:func:`check_params`; all of them live here, so the oracle imports nothing
+but this module.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import PatternTableTooLargeError
+from .errors import ParameterError, PatternTableTooLargeError
 
 
 @dataclass(frozen=True)
@@ -283,7 +289,7 @@ _DENSE_KEYS = 2
 # count's int64 arrays, where a whole length at once (fifty 100-item lists)
 # peaked 5.6 MB higher, 8 per entry for the deviations' float array, where
 # steps of 8 192 entries took 14 ms on sweep instead of 11, and 8 + 1 per
-# matrix cell for support.fill's float and bool batches, where 16 MB batches
+# matrix cell for scores.fill's float and bool batches, where 16 MB batches
 # peaked 2.2 MB higher
 _STEP_BYTES = 1 << 18
 # most weight bases whose weights a table keeps: sweep's benchmark grid uses
@@ -387,3 +393,60 @@ def count_patterns(rset: RankingSet) -> PatternTable:
     for _, group, _, _ in by_length:
         group.flags.writeable = False
     return PatternTable(count, total, value, tuple(by_length))
+
+
+@dataclass(frozen=True, eq=False)
+class SupportMatrix:
+    """Lower-triangular certificate matrix for one ranking.
+
+    ``items`` fixes the row/column order (the owner ranking's item order);
+    ``entries`` holds the weights and ``supported`` the underlying predicate,
+    kept separately so set membership never depends on a float comparison.
+    """
+
+    owner: int
+    items: tuple[str, ...]
+    entries: np.ndarray
+    supported: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return len(self.items)
+
+    @property
+    def trace(self) -> float:
+        return float(np.trace(self.entries))
+
+
+@dataclass(frozen=True)
+class RankingSupport:
+    """The supported patterns of one ranking, each sorted as printed."""
+
+    singles: tuple[str, ...]
+    pairs: tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class SupportSets:
+    """Global and per-type supported patterns, each sorted as printed.
+
+    ``per_type`` is indexed like the set's ``types``; the global patterns are
+    their union. Pairs keep the order in which their owner ranking presents
+    them, so both ``(x, y)`` and ``(y, x)`` may appear.
+    """
+
+    singles: tuple[str, ...]
+    pairs: tuple[tuple[str, str], ...]
+    per_type: tuple[RankingSupport, ...]
+
+
+def check_params(rset: RankingSet, q: int, gamma: float, lam: float) -> None:
+    """The one validator of a threshold and weights for ``rset``."""
+    n = len(rset)
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ParameterError(f"q must be an integer, got {q!r}")
+    if not 1 <= q <= n:
+        raise ParameterError(f"q must be in [1, {n}], got {q}")
+    for name, value in (("gamma", gamma), ("lambda", lam)):
+        if not 0.0 < value <= 1.0:
+            raise ParameterError(f"{name} must be in (0, 1], got {value}")

@@ -10,6 +10,7 @@ scores are; a vote reads its row through the consensus run's ``type_of``.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -90,9 +91,13 @@ def remove_and_rescore(rset: RankingSet, drop: Iterable[int], params: ScoreParam
     n_old = len(rset)
     gone = set()
     for i in drop:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n_old:
+        try:  # any integer but a bool, numpy's too
+            index = None if isinstance(i, bool) else operator.index(i)
+        except TypeError:
+            index = None
+        if index is None or not 0 <= index < n_old:
             raise ParameterError(f"cannot drop index {i!r}: the set has {n_old} rankings")
-        gone.add(i)
+        gone.add(index)
     if len(gone) == n_old:
         raise ParameterError("every ranking was dropped; nothing left to score")
     kept = tuple(i for i in range(n_old) if i not in gone)

@@ -1,9 +1,10 @@
 """The reference oracle: every quantity computed by rescanning the set.
 
 Nothing in the package calls these; the tests check the table-read routes
-of :mod:`~rank_consensus.support` and :mod:`~rank_consensus.scores`
-against them. :func:`contains_pattern` is the containment rule every
-rescan applies to one ranking. :func:`support_matrix_naive` builds one
+of :mod:`~rank_consensus.scores` against them. The module imports only
+:mod:`~rank_consensus.model`, whose types and validator it shares with
+them. :func:`contains_pattern` is the containment rule every rescan
+applies to one ranking. :func:`support_matrix_naive` builds one
 ranking's support matrix with a full scan of the set for every entry,
 :func:`support_sets` reads the supported patterns off a list of matrices,
 one type per matrix and sorted as the table-read sets are, and the mean and
@@ -15,8 +16,8 @@ import math
 
 import numpy as np
 
-from .model import Ranking, RankingSet
-from .support import RankingSupport, SupportMatrix, SupportSets, _check_params
+from .model import (Ranking, RankingSet, RankingSupport, SupportMatrix, SupportSets,
+                    check_params)
 
 
 def contains_pattern(r: Ranking, x: str, y: str) -> bool:
@@ -53,7 +54,7 @@ def support_matrix_naive(l: int, rset: RankingSet, q: int,
     Deliberately cache-free; this is the oracle the fast path is tested
     against.
     """
-    _check_params(rset, q, gamma, lam)
+    check_params(rset, q, gamma, lam)
     ranking = rset[l]
     items = ranking.items
     m = len(items)
@@ -86,7 +87,7 @@ def support_matrix_naive(l: int, rset: RankingSet, q: int,
 
 def support_sets(matrices: list[SupportMatrix]) -> SupportSets:
     """Read the supported-pattern sets off the matrices of one ranking set,
-    in the sorted shape :func:`~rank_consensus.support.sets` gives them,
+    in the sorted shape :func:`~rank_consensus.scores.sets` gives them,
     with each matrix as its own type."""
     per = []
     for mat in matrices:

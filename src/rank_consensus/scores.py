@@ -1,4 +1,13 @@
-"""Consensus scores built on the support matrices.
+"""Support matrices and the consensus scores reduced from them.
+
+A pattern is a single item ``x`` or an ordered pair ``(x, y)``; its support
+is the number of rankings in the set that contain it. Each ranking gets a
+lower-triangular matrix over its own items whose entry ``[j, i]`` (``i <= j``
+in the ranking's item order) certifies that the pattern formed by its i-th
+and j-th items reaches the support threshold ``q``. In weighted mode the
+certified entries carry ``gamma ** h`` (diagonal, ``h`` the item's position
+deviation from its set-wide mean) or ``lam ** d`` (off-diagonal, ``d`` the
+pair's gap deviation from its set-wide mean gap).
 
 For ranking ``l`` with ``m`` items, ``kappa1`` is the matrix trace over
 ``m`` (share of its items whose membership reaches the threshold) and
@@ -8,23 +17,23 @@ With weights ``gamma``/``lam`` below 1, certified entries decay with the
 distance between the owner ranking's placement and the set-wide mean
 placement, so the scores reward agreement *and* proximity.
 
-Scores are reduced from the support matrices batched by ranking length:
-each distinct ranking is scored once, by ``np.trace`` and a sum over its
-matrix in a batch, filled from one slice of the set's pattern table and
-dropped once reduced. Everything that depends on the set alone (counts,
-their length-by-length layout, deviation weights) is kept with the set, so
-scoring one set at many grid points, as ``sweep`` does, pays per point only
-for thresholding, weighting, filling and reducing. A report holds just the
-set, its parameters and the per-type scores, so a kept report adds no
-array the size of the table. Vote ``l``'s scores are the set's
-``per_type[type_of[l]]``. Its supported patterns, read off the table and
-sorted once per distinct ranking, are built only when first read; the
-per-vote matrices are :func:`~rank_consensus.support.support_matrices_fast`'s,
-which no command calls.
+Everything here reads the set's pattern table, which holds what depends on
+the set alone, and the parameters; so scoring one set at many grid points,
+as ``sweep`` does, pays per point only for thresholding, weighting, filling
+and reducing. :func:`fill` yields read-only ``(k, m, m)`` float batches,
+each thresholded and weighted from one slice of the table; :func:`score`
+reduces each as it is filled and drops it, scoring every distinct ranking
+once, and vote ``l`` reads ``per_type[type_of[l]]``. :func:`sets` reads the
+supported patterns off the counts with no matrix, sorted as printed; a
+report builds them only when first read. :func:`support_matrices_fast` is
+the one per-vote matrix view, for tests and inspection; no command calls
+it. All of them agree with the full-scan oracle in
+:mod:`~rank_consensus.reference`.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -32,13 +41,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import support
+from . import model
 from .errors import ParameterError
-from .model import RankingSet
-# support_matrices_fast and support_sets are not called here, but
-# perfbench/spans.py traces them under this module's name
+from .model import (PatternTable, RankingSet, RankingSupport, SupportMatrix, SupportSets,
+                    check_params, lower_triangle)
+# support_sets is not called here, but perfbench/spans.py traces it under
+# this module's name
 from .reference import support_sets  # noqa: F401
-from .support import SupportSets, support_matrices_fast  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ class ConsensusReport:
 
     @cached_property
     def sets(self) -> SupportSets:
-        return support.sets(self.rset, self.params.q)
+        return sets(self.rset, self.params.q)  # the module's function
 
 
 def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
@@ -135,11 +144,10 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
     length; batches are filled one at a time and dropped once reduced. The
     averages sum every vote's scores with ``math.fsum``.
     """
-    support._check_params(rset, params.q, params.gamma, params.lam)
+    check_params(rset, params.q, params.gamma, params.lam)
     kappa1 = np.empty(len(rset.types))
     kappa2 = np.zeros(len(rset.types))  # 0 by convention without pairs
-    for group, _, entries in support.fill(rset.pattern_stats, params.q, params.gamma,
-                                          params.lam):
+    for group, _, entries in fill(rset.pattern_stats, params.q, params.gamma, params.lam):
         m = entries.shape[1]
         n_pairs = m * (m - 1) // 2
         trace = np.trace(entries, axis1=1, axis2=2)
@@ -157,3 +165,89 @@ def score(rset: RankingSet, params: ScoreParams) -> ConsensusReport:
         kappa1=kappa1,
         kappa2=kappa2,
     )
+
+
+def fill(table: PatternTable, q: int, gamma: float,
+         lam: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The weight matrices of the table's distinct rankings, batch by batch.
+
+    Yields ``(group, supported, entries)``: the type indices of ``k`` distinct
+    rankings of one length ``m``, the ``(k, m(m+1)/2)`` mask of their entries
+    that reach ``q``, and their fresh read-only ``(k, m, m)`` weight matrices,
+    filled by fancy indexing from the masked weights. Each batch is
+    thresholded and weighted from its own slice of the counts and of the
+    deviation index, so nothing the size of the table is made; the first
+    weighted call ranks the deviations. Batches split under
+    ``model._STEP_BYTES`` as it is when this is called. Parameters unchecked.
+    """
+    weighted = (gamma, lam) != (1.0, 1.0)
+    if weighted:
+        index = table.deviations[1]
+        pair = None if lam == 1.0 else table.weights(lam)
+        item = None if gamma == 1.0 else table.weights(gamma)
+    for m, group, lo, _ in table.by_length:
+        rows, cols = lower_triangle(m)
+        diag = np.flatnonzero(rows == cols)
+        step = max(1, model._STEP_BYTES // (9 * m * m))  # 8 + 1 bytes per cell
+        for start in range(0, len(group), step):
+            part = group[start:start + step]
+            cells = slice(lo + start * len(rows), lo + (start + len(part)) * len(rows))
+            shape = (len(part), len(rows))
+            supported = (table.count[cells] >= q).reshape(shape)
+            if weighted:
+                at = index[cells].reshape(shape)
+                weights = np.ones(shape) if pair is None else pair[at]
+                weights[:, diag] = 1.0 if item is None else item[at[:, diag]]
+                weights *= supported  # w * 1.0 is w, and unsupported is 0.0
+            else:
+                weights = supported.astype(float)
+            entries = np.zeros((len(part), m, m))
+            entries[:, rows, cols] = weights
+            entries.flags.writeable = False
+            yield part, supported, entries
+
+
+def sets(rset: RankingSet, q: int) -> SupportSets:
+    """The supported patterns of every distinct ranking of ``rset``, read off
+    its table's entries that reach the threshold: one ``np.nonzero`` per
+    length, and each ranking's patterns sorted once."""
+    table = rset.pattern_stats
+    per_type: list[RankingSupport] = [None] * len(rset.types)
+    for m, group, lo, hi in table.by_length:
+        rows, cols = lower_triangle(m)
+        k, cell = np.nonzero((table.count[lo:hi] >= q).reshape(len(group), len(rows)))
+        bounds = np.searchsorted(k, np.arange(len(group) + 1)).tolist()
+        firsts, seconds = cols[cell].tolist(), rows[cell].tolist()
+        for t, a, b in zip(group.tolist(), bounds, bounds[1:]):
+            items = rset.types[t].items
+            cells = list(zip(firsts[a:b], seconds[a:b]))
+            per_type[t] = RankingSupport(
+                singles=tuple(sorted(items[i] for i, j in cells if i == j)),
+                pairs=tuple(sorted((items[i], items[j]) for i, j in cells if i < j)),
+            )
+    return SupportSets(
+        singles=tuple(sorted(set().union(*(p.singles for p in per_type)))),
+        pairs=tuple(sorted(set().union(*(p.pairs for p in per_type)))),
+        per_type=tuple(per_type),
+    )
+
+
+def support_matrices_fast(rset: RankingSet, q: int, *, gamma: float = 1.0,
+                          lam: float = 1.0) -> list[SupportMatrix]:
+    """All per-ranking support matrices, read off the set's pattern table.
+
+    Entrywise identical to running
+    :func:`~rank_consensus.reference.support_matrix_naive` for every
+    ranking. Duplicate rankings share one read-only ``entries`` and
+    ``supported`` array.
+    """
+    check_params(rset, q, gamma, lam)
+    shared: list[tuple] = [()] * len(rset.types)
+    for group, supported, entries in fill(rset.pattern_stats, q, gamma, lam):
+        rows, cols = lower_triangle(entries.shape[1])
+        mask = np.zeros(entries.shape, dtype=bool)
+        mask[:, rows, cols] = supported
+        mask.flags.writeable = False
+        for t, e, s in zip(group.tolist(), entries, mask):
+            shared[t] = (rset.types[t].items, e, s)
+    return [SupportMatrix(l, *shared[t]) for l, t in enumerate(rset.type_of)]

@@ -164,18 +164,18 @@ def test_topk_rho_larger_ell_changes_the_charge():
 
 def test_topk_params_validation():
     with pytest.raises(ParameterError):
-        TopKParams(k=0).validate()
+        TopKParams(k=0)
     with pytest.raises(ParameterError):
-        TopKParams(k=2, p=1.5).validate()
+        TopKParams(k=2, p=1.5)
     with pytest.raises(ParameterError):
-        TopKParams(k=2, p=-0.1).validate()
+        TopKParams(k=2, p=-0.1)
     with pytest.raises(ParameterError):
-        TopKParams(k=2, ell=2).validate()
+        TopKParams(k=2, ell=2)
     # positions are floats, exact only up to 2**53
-    TopKParams(k=2, ell=2**53).validate()
+    TopKParams(k=2, ell=2**53)
     for ell in (2**53 + 1, 10**155, 10**309):
         with pytest.raises(ParameterError, match=r"^ell must be at most 2\*\*53"):
-            TopKParams(k=2, ell=ell).validate()
+            TopKParams(k=2, ell=ell)
 
 
 def test_topk_k_exceeding_length_rejected():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank_consensus import cli, model, reference, scores, support
+from rank_consensus import cli, model, reference, scores
 
 
 @pytest.fixture
@@ -426,8 +426,7 @@ def test_commands_build_no_matrix_and_call_no_oracle(example_file, capsys, monke
     def refuse(*args, **kwargs):
         raise AssertionError("a command built per-vote matrices or called the oracle")
 
-    for module in (support, scores):
-        monkeypatch.setattr(module, "support_matrices_fast", refuse)
+    monkeypatch.setattr(scores, "support_matrices_fast", refuse)
     for name in ("support_sets", "support_matrix_naive"):
         monkeypatch.setattr(reference, name, refuse)
     monkeypatch.setattr(scores, "support_sets", refuse)

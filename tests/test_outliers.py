@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,10 +132,17 @@ def test_removing_everything_is_an_error(example_set):
 
 
 def test_drop_index_must_be_in_range(example_set):
-    for bad in (4, -1, 1.0, "0", True, None):
+    for bad in (4, -1, 1.0, "0", True, None, np.int64(4), np.int32(-1)):
         with pytest.raises(ParameterError) as info:
             remove_and_rescore(example_set, [0, bad], ScoreParams(q=3))
         assert f"index {bad!r}: the set has 4 rankings" in str(info.value)
+    want = remove_and_rescore(example_set, [0, 2], ScoreParams(q=3))
+    for good in (np.int64(2), np.int32(2), np.array([0, 2])[1]):
+        rep = remove_and_rescore(example_set, [0, good], ScoreParams(q=3))
+        assert per_vote(rep) == per_vote(want)
+        assert rep.original_indices == (1, 3)
+    rep = remove_and_rescore(example_set, np.array([2]), ScoreParams(q=3))
+    assert rep.original_indices == (0, 1, 3)
 
 
 def test_repeated_drop_index_removes_once(example_set):

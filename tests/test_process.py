@@ -133,6 +133,55 @@ def test_no_source_line_calls_blas():
     assert found == []
 
 
+# --- imports -------------------------------------------------------------------
+
+MODULES = sorted(f"rank_consensus.{path.stem}" for path in PACKAGE.glob("*.py")
+                 if path.stem != "__init__")
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The package's modules a fresh interpreter holds after ``statement``."""
+    script = (
+        "import sys\n"
+        f"{statement}\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rank_consensus'))\n"
+    )
+    proc = python("-c", script, env=child_env(), text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+# perfbench/check.py's first import of the package is the oracle's name
+@pytest.mark.parametrize("statement", [
+    *(f"import {module}" for module in MODULES),
+    "from rank_consensus import support_matrix_naive",
+])
+def test_every_module_can_be_imported_first(statement):
+    assert "rank_consensus" in loaded_after(statement)
+
+
+def test_the_oracle_imports_only_the_model():
+    assert loaded_after("import rank_consensus.reference") == [
+        "rank_consensus", "rank_consensus.errors", "rank_consensus.model",
+        "rank_consensus.reference"]
+
+
+def test_the_modules_import_each_other_only_relatively():
+    # scripts/ab_inproc.py imports two copies of the package under other names
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "rank_consensus"]
+    assert found == []
+
+
 # --- exit ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -17,9 +17,9 @@ from rank_consensus import (
     q_from_fraction,
     score,
 )
-from rank_consensus import model, reference, scores, support
+from rank_consensus import model, reference, scores
 from rank_consensus.reference import gap_deviation, mean_gap, mean_position, position_deviation
-from rank_consensus.support import support_matrices_fast
+from rank_consensus.scores import support_matrices_fast
 
 
 def test_plain_scores_on_example(example_set):
@@ -109,13 +109,13 @@ def test_support_sets_are_built_only_when_read(monkeypatch):
     rset = RankingSet([Ranking([["a", "b"], ["c"]]), Ranking.strict("bca"), Ranking.strict("ab")] * 3
                       + [Ranking.strict("d")])
     calls = []
-    real = support.sets
+    real = scores.sets
 
     def counting(rset, q):
         calls.append(1)
         return real(rset, q)
 
-    monkeypatch.setattr(support, "sets", counting)
+    monkeypatch.setattr(scores, "sets", counting)
     grid = [(q, base, base) for q in (1, 3, 5, 10) for base in (1.0, 0.7, 0.2)]
     reports = [score(rset, ScoreParams(q=q, gamma=g, lam=lam)) for q, g, lam in grid]
     assert len(reports) == 12
@@ -185,14 +185,13 @@ def test_batched_kappas_equal_per_matrix_reductions(budget, rset, gamma, lam):
 def test_per_vote_views_are_built_only_when_read(monkeypatch):
     kinds = [Ranking([["a", "b"], ["c"]]), Ranking.strict("bcad"), Ranking.strict("d")]
     rset = RankingSet([kinds[i % 7 % 3] for i in range(200)])
-    eager_matrices = support.support_matrices_fast
+    eager_matrices = scores.support_matrices_fast
     matrix_calls = []
 
     def counting_matrices(*args, **kwargs):
         matrix_calls.append(1)
         return eager_matrices(*args, **kwargs)
 
-    monkeypatch.setattr(support, "support_matrices_fast", counting_matrices)
     monkeypatch.setattr(scores, "support_matrices_fast", counting_matrices)
     grid = [(q, base, base) for q in (1, 60, 120, 200) for base in (1.0, 0.7, 0.2)]
     reports = [score(rset, ScoreParams(q=q, gamma=g, lam=lam)) for q, g, lam in grid]
