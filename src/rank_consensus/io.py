@@ -1,16 +1,18 @@
 """Reading ranking sets and writing reports; rankings are only read, never
 written back.
 
-Two input formats:
+Two input formats, each read line by line, where a line ends at ``\\n``,
+``\\r\\n`` or ``\\r`` and nowhere else:
 
 * ``lines`` — one ranking per line, ``#`` starting a comment: its items in
   preference order, separated by ``,``, a tie group written as one item
   ``{x,y}``: ``b,{c,d},a``. Blanks around items are dropped; an item is
   never empty, holds none of ``,{}`` and appears once; groups do not nest.
 * ``preflib`` — preference-library election files: ``#``-prefixed metadata,
-  whose ``ALTERNATIVE NAME i`` entries rename numeric items and come before
-  the first vote, then ``count: order`` rows whose orders use the same
-  syntax and are repeated ``count`` times.
+  whose ``ALTERNATIVE NAME i`` entries rename numeric items, come before
+  the first vote and give each index, and each name, once, then
+  ``count: order`` rows whose orders use the same syntax and are repeated
+  ``count`` times.
 
 Either format holds at most :data:`MAX_VOTES` votes per file.
 
@@ -21,9 +23,8 @@ with ``indent=2``. Supported patterns are printed in the sorted order the
 report holds them in. Votes that repeat a ranking repeat its per-vote rows,
 so each distinct ranking's row is rendered once, and each run of consecutive
 votes of one ranking (a preflib ``count:`` line is one) becomes a single
-join of that text over the votes' indices, at most :data:`_JOIN_VOTES`
-votes per join. A report is returned as one string, joined from these
-pieces; the CLI writes it out in slices.
+join of that text over the votes' indices. A report is returned as one
+string, joined from these pieces; the CLI writes it out in slices.
 """
 from __future__ import annotations
 
@@ -108,10 +109,17 @@ def _ranking(blocks: list[tuple[str, ...]], where: str) -> Ranking:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _lines(text: str) -> list[str]:
+    """``text`` split at ``\\n``, ``\\r\\n`` and ``\\r``, the line ends that
+    ``open()`` reads. ``str.splitlines`` also splits at ``\\v``, ``\\f``,
+    ``\\x1c``-``\\x1e``, U+0085, U+2028 and U+2029."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _parse_lines(text: str, source: str) -> RankingSet:
     rankings = []
     names: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,16 +134,17 @@ def _parse_lines(text: str, source: str) -> RankingSet:
 
 
 def _clip(text: str, quote=str) -> str:
-    # a vote count as a message quotes it: its first 20 characters at most
+    # a count or a name as a message quotes it: its first 20 characters at most
     return quote(text) if len(text) <= 20 else f"{quote(text[:20])}... ({len(text)} characters)"
 
 
 def _parse_preflib(text: str, source: str) -> RankingSet:
-    names: dict[str, str] = {}
+    names: dict[str, str] = {}  # each alternative's index to its name
+    named: dict[str, str] = {}  # and back
     tokens: dict[str, str] = {}
     rankings: list[Ranking] = []
     n_votes = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         where = f"{source}:{lineno}"
         if not line:
@@ -146,7 +155,15 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
                 if rankings:
                     raise ParseError(f"{where}: ALTERNATIVE NAME after the first vote")
                 index = key.strip()[len("ALTERNATIVE NAME"):].strip()
-                names[index] = value.strip()
+                name = value.strip()
+                if index in names:
+                    raise ParseError(f"{where}: alternative {_clip(index)} is named twice, "
+                                     f"first as {_clip(names[index], repr)}")
+                earlier = named.setdefault(name, index)
+                if earlier != index:
+                    raise ParseError(f"{where}: alternative {_clip(index)} is named "
+                                     f"{_clip(name, repr)}, as alternative {_clip(earlier)} is")
+                names[index] = name
             continue
         count_text, sep, order_text = line.partition(":")
         if not sep:
@@ -208,9 +225,6 @@ def parse_rankings(path: str | Path, fmt: str = "lines") -> RankingSet:
 # emission
 
 _FORMATS = ("json", "csv")
-# most votes whose rows one join assembles, so that no piece of a report
-# grows with the number of votes
-_JOIN_VOTES = 1024
 
 
 def _disp(value: float) -> str:
@@ -225,7 +239,7 @@ def _check_fmt(fmt: str) -> None:
 @dataclass(frozen=True)
 class _Rows:
     """One row per vote: vote ``i`` of type ``t`` gets ``fields(keys[t])``
-    after its index. ``fields`` is called once for each type that has votes."""
+    after its index. Every type has votes; ``fields`` is called once per type."""
 
     type_of: Sequence[int]
     keys: Sequence
@@ -238,25 +252,21 @@ def _add_rows(rows: _Rows, layout: Callable[[object], list[str]], between: str,
 
     ``layout(fields)`` gives the parts of a type's row, once per type, and
     vote ``i``'s row is ``str(i).join(parts)``. Each run of consecutive
-    votes of one type, up to :data:`_JOIN_VOTES` of them, is a single join
-    over their indices.
+    votes of one type is a single join over their indices.
     """
-    laid_out: dict[int, list[str]] = {}
+    laid_out = [layout(rows.fields(key)) for key in rows.keys]
     sep = ""
     stop = 0
     for t, run in groupby(rows.type_of):
         start, stop = stop, stop + len(list(run))
-        parts = laid_out.get(t)
-        if parts is None:
-            parts = laid_out[t] = layout(rows.fields(rows.keys[t]))
-        for first in range(start, stop, _JOIN_VOTES):
-            indices = map(str, range(first, min(first + _JOIN_VOTES, stop)))
-            if len(parts) == 2:
-                head, tail = parts
-                out += (sep, head, (tail + between + head).join(indices), tail)
-            else:
-                out += (sep, between.join(map(str.join, indices, repeat(parts))))
-            sep = between
+        parts = laid_out[t]
+        indices = map(str, range(start, stop))
+        if len(parts) == 2:
+            head, tail = parts
+            out += (sep, head, (tail + between + head).join(indices), tail)
+        else:
+            out += (sep, between.join(map(str.join, indices, repeat(parts))))
+        sep = between
 
 
 def _float(value: float) -> str:

@@ -238,13 +238,12 @@ class PatternTable:
                 np.abs(np.multiply(self.value[at], count, dtype=np.int64) - self.total[at])
                 / count)
             parts.append(unique)
-        if len(parts) > 1:  # one step's ranking is the table's
-            unique = np.concatenate(parts)
-            unique.sort()
-            unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
-            for at, part in zip(slices, parts):
-                remap = np.searchsorted(unique, part).astype(np.int32)
-                index[at] = remap.take(index[at], mode="clip")  # each is in range
+        unique = np.concatenate(parts)
+        unique.sort()
+        unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+        for at, part in zip(slices, parts):
+            remap = np.searchsorted(unique, part).astype(np.int32)
+            index[at] = remap.take(index[at], mode="clip")  # each is in range
         for a in (unique, index):
             a.flags.writeable = False
         return unique, index

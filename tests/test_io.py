@@ -3,7 +3,6 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -95,6 +94,21 @@ def test_parse_lines_errors(bad, message):
 def test_parse_errors_carry_source_and_line():
     with pytest.raises(ParseError, match=r"votes.txt:3"):
         parse_rankings_text("a,b\nc,d\na,a\n", source="votes.txt")
+
+
+@pytest.mark.parametrize("fmt, prefix", [("lines", ""), ("preflib", "1: ")])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_lines_end_only_at_the_line_ends_open_reads(fmt, prefix, end):
+    # str.splitlines would also break at each of these
+    odd = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+    def text(*lines):
+        return "".join(prefix + line + end for line in lines)
+
+    rs = parse_rankings_text(text("a,b", f"b,a{odd}c", f"{odd}b , a{odd}"), fmt)
+    assert list(rs) == [Ranking.strict("ab"), Ranking.strict(["b", f"a{odd}c"]),
+                        Ranking.strict("ba")]
+    with pytest.raises(ParseError, match=exactly("<string>:3: empty item")):
+        parse_rankings_text(text("a,b", "\fb,a", "c,,d"), fmt)
 
 
 def test_parse_rankings_reads_files(tmp_path):
@@ -211,7 +225,23 @@ def test_vote_cap_counts_the_rankings_of_a_lines_file(monkeypatch):
 
 def test_parse_preflib_name_collision():
     text = "# ALTERNATIVE NAME 1: same\n# ALTERNATIVE NAME 2: same\n1: 1,2\n"
-    with pytest.raises(ParseError, match="after renaming"):
+    with pytest.raises(ParseError, match=exactly(
+            "<string>:2: alternative 2 is named 'same', as alternative 1 is")):
+        parse_rankings_text(text, fmt="preflib")
+
+
+@pytest.mark.parametrize("names, message", [
+    # two alternatives that no vote ranks together would merge into one item
+    (["1: x", "2: x"], "<string>:2: alternative 2 is named 'x', as alternative 1 is"),
+    (["1: x", "3: y", "2:  x "], "<string>:3: alternative 2 is named 'x', as alternative 1 is"),
+    (["1: x", "1: y"], "<string>:2: alternative 1 is named twice, first as 'x'"),
+    (["1: x", "1: x"], "<string>:2: alternative 1 is named twice, first as 'x'"),
+    (["1: x", "2: " + "y" * 30, "2: z"], "<string>:3: alternative 2 is named twice, first as "
+     "'yyyyyyyyyyyyyyyyyyyy'... (30 characters)"),
+])
+def test_parse_preflib_names_each_alternative_once(names, message):
+    text = "".join(f"# ALTERNATIVE NAME {entry}\n" for entry in names) + "1: 1,3\n1: 2,3\n"
+    with pytest.raises(ParseError, match=exactly(message)):
         parse_rankings_text(text, fmt="preflib")
 
 
@@ -252,9 +282,8 @@ def test_render_round_trip_random(rset):
                 min_size=1, max_size=3))
 def test_render_parses_back_to_an_equal_set_or_refuses(orders):
     rset = RankingSet([Ranking.strict(order) for order in orders])
-    # the format splits on ",{}#" and line breaks, and strips blanks
-    assume(all(x == x.strip() and not set(x) & set(",{}#") and x.splitlines() == [x]
-               for x in rset.universe))
+    # the format splits on ",{}#" and line ends, and strips blanks
+    assume(all(x == x.strip() and not set(x) & set(",{}#\r\n") for x in rset.universe))
     assert parse_rankings_text(render(rset)) == rset
 
 
@@ -605,16 +634,6 @@ def test_rows_are_rendered_once_per_distinct_ranking(monkeypatch):
     assert rendered == [3, 3, 3, 3, 3, 3, 3, 3, 3]
     assert len(per_vote(rescored)) == 200
     assert text.count('"index": ') == 400
-
-
-@settings(max_examples=40, deadline=None)
-@given(voted_sets_st(), st.data())
-@pytest.mark.parametrize("join_votes", [1, 2])
-def test_emission_with_split_runs_equals_the_per_vote_reference(join_votes, rset, data):
-    # each join covers at most join_votes votes, so runs of equal votes split
-    params = ScoreParams(q=data.draw(st.integers(1, len(rset))), gamma=0.5, lam=0.7)
-    with mock.patch.object(rc_io, "_JOIN_VOTES", join_votes):
-        assert_emits_reference(rset, params)
 
 
 json_scalars = st.one_of(
