@@ -10,9 +10,9 @@ Two input formats, each read line by line, where a line ends at ``\\n``,
   never empty, holds none of ``,{}`` and appears once; groups do not nest.
 * ``preflib`` — preference-library election files: ``#``-prefixed metadata,
   whose ``ALTERNATIVE NAME i`` entries rename numeric items, come before
-  the first vote and give each index, and each name, once, then
-  ``count: order`` rows whose orders use the same syntax and are repeated
-  ``count`` times.
+  the first vote and give each index, and each name, once and non-empty,
+  then ``count: order`` rows whose orders use the same syntax and are
+  repeated ``count`` times.
 
 Either format holds at most :data:`MAX_VOTES` votes per file.
 
@@ -156,6 +156,10 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
                     raise ParseError(f"{where}: ALTERNATIVE NAME after the first vote")
                 index = key.strip()[len("ALTERNATIVE NAME"):].strip()
                 name = value.strip()
+                if not index:
+                    raise ParseError(f"{where}: ALTERNATIVE NAME without an index")
+                if not name:
+                    raise ParseError(f"{where}: alternative {_clip(index)} has an empty name")
                 if index in names:
                     raise ParseError(f"{where}: alternative {_clip(index)} is named twice, "
                                      f"first as {_clip(names[index], repr)}")

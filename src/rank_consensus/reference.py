@@ -4,11 +4,13 @@ Nothing in the package calls these; the tests check the table-read routes
 of :mod:`~rank_consensus.scores` against them. The module imports only
 :mod:`~rank_consensus.model`, whose types and validator it shares with
 them. :func:`contains_pattern` is the containment rule every rescan
-applies to one ranking. :func:`support_matrix_naive` builds one
-ranking's support matrix with a full scan of the set for every entry,
-:func:`support_sets` reads the supported patterns off a list of matrices,
-one type per matrix and sorted as the table-read sets are, and the mean and
-deviation helpers rescan the set for one item or pattern.
+applies to one ranking; one scan of the set with it gives a pattern's
+count and totals, and every quantity here reads that scan.
+:func:`support_matrix_naive` builds one ranking's support matrix with a
+full scan of the set for every entry, :func:`support_sets` reads the
+supported patterns off a list of matrices, one type per matrix and sorted
+as the table-read sets are, and the count, mean and deviation helpers
+rescan the set for one item or pattern.
 """
 from __future__ import annotations
 
@@ -42,9 +44,22 @@ def _weight(base: float, deviation: float) -> float:
     return math.exp(deviation * math.log(base))
 
 
+def _scan(x: str, y: str, rset: RankingSet) -> tuple[int, int, int]:
+    # the one pass over the set for the pattern x y: how many rankings
+    # contain it, and their totals of position(x) and of the gap
+    count = positions = gaps = 0
+    for r in rset:
+        if contains_pattern(r, x, y):
+            px = r.position(x)
+            count += 1
+            positions += px
+            gaps += r.position(y) - px
+    return count, positions, gaps
+
+
 def support_count(x: str, y: str, rset: RankingSet) -> int:
     """Number of rankings containing the pattern ``x y`` (membership if x == y)."""
-    return sum(1 for r in rset if contains_pattern(r, x, y))
+    return _scan(x, y, rset)[0]
 
 
 def support_matrix_naive(l: int, rset: RankingSet, q: int,
@@ -64,24 +79,14 @@ def support_matrix_naive(l: int, rset: RankingSet, q: int,
         x = items[i]
         for j in range(i, m):
             y = items[j]
-            count = 0
-            total = 0
-            for rz in rset:
-                if i == j:
-                    p = rz.position(x)
-                    if p:
-                        count += 1
-                        total += p
-                elif contains_pattern(rz, x, y):
-                    count += 1
-                    total += rz.position(y) - rz.position(x)
+            count, total, gaps = _scan(x, y, rset)
             if count >= q:
                 mask[j, i] = True
                 if i == j:
                     entries[j, i] = _weight(gamma, _deviation(ranking.position(x), total, count))
                 else:
                     gap = ranking.position(y) - ranking.position(x)
-                    entries[j, i] = _weight(lam, _deviation(gap, total, count))
+                    entries[j, i] = _weight(lam, _deviation(gap, gaps, count))
     return SupportMatrix(owner=l, items=items, entries=entries, supported=mask)
 
 
@@ -105,18 +110,18 @@ def support_sets(matrices: list[SupportMatrix]) -> SupportSets:
 
 def mean_position(x: str, rset: RankingSet) -> float:
     """Average position of ``x`` over the rankings that contain it."""
-    positions = [r.position(x) for r in rset if r.position(x)]
-    if not positions:
+    count, positions, _ = _scan(x, x, rset)
+    if not count:
         raise ValueError(f"item {x!r} appears in no ranking")
-    return sum(positions) / len(positions)
+    return positions / count
 
 
 def mean_gap(x: str, y: str, rset: RankingSet) -> float:
     """Average position gap of the pattern ``x y`` over rankings containing it."""
-    gaps = [r.position(y) - r.position(x) for r in rset if contains_pattern(r, x, y)]
-    if not gaps:
+    count, _, gaps = _scan(x, y, rset)
+    if not count:
         raise ValueError(f"pattern {x!r} {y!r} appears in no ranking")
-    return sum(gaps) / len(gaps)
+    return gaps / count
 
 
 def position_deviation(x: str, l: int, rset: RankingSet) -> float:
@@ -128,14 +133,8 @@ def position_deviation(x: str, l: int, rset: RankingSet) -> float:
     p = rset[l].position(x)
     if not p:
         raise ValueError(f"item {x!r} is not in ranking {l}")
-    count = 0
-    total = 0
-    for r in rset:
-        pos = r.position(x)
-        if pos:
-            count += 1
-            total += pos
-    return abs(p * count - total) / count
+    count, positions, _ = _scan(x, x, rset)
+    return _deviation(p, positions, count)
 
 
 def gap_deviation(x: str, y: str, l: int, rset: RankingSet) -> float:
@@ -143,11 +142,5 @@ def gap_deviation(x: str, y: str, l: int, rset: RankingSet) -> float:
     ranking = rset[l]
     if not contains_pattern(ranking, x, y):
         raise ValueError(f"pattern {x!r} {y!r} is not in ranking {l}")
-    gap = ranking.position(y) - ranking.position(x)
-    count = 0
-    total = 0
-    for r in rset:
-        if contains_pattern(r, x, y):
-            count += 1
-            total += r.position(y) - r.position(x)
-    return abs(gap * count - total) / count
+    count, _, gaps = _scan(x, y, rset)
+    return _deviation(ranking.position(y) - ranking.position(x), gaps, count)

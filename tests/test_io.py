@@ -245,6 +245,23 @@ def test_parse_preflib_names_each_alternative_once(names, message):
         parse_rankings_text(text, fmt="preflib")
 
 
+@pytest.mark.parametrize("text, message", [
+    # an empty name failed at the first vote that ranked its alternative
+    ("# ALTERNATIVE NAME 1:\n# ALTERNATIVE NAME 2: b\n1: 1,2\n",
+     "<string>:1: alternative 1 has an empty name"),
+    ("# ALTERNATIVE NAME 2: b\n#  alternative name 1 :  \n1: 2\n",
+     "<string>:2: alternative 1 has an empty name"),
+    # and a declaration without an index was ignored
+    ("# ALTERNATIVE NAME: x\n# ALTERNATIVE NAME 2: b\n1: 1,2\n",
+     "<string>:1: ALTERNATIVE NAME without an index"),
+    ("# ALTERNATIVE NAME 1: a\n# ALTERNATIVE NAME  :\n1: 1\n",
+     "<string>:2: ALTERNATIVE NAME without an index"),
+])
+def test_parse_preflib_names_need_an_index_and_a_name(text, message):
+    with pytest.raises(ParseError, match=exactly(message)):
+        parse_rankings_text(text, fmt="preflib")
+
+
 def test_parse_preflib_keeps_names_the_lines_format_cannot_hold():
     text = ("# ALTERNATIVE NAME 1: Smith, John\n# ALTERNATIVE NAME 2: Doe #2\n"
             "# ALTERNATIVE NAME 3: Lee\n1: 3\n1: 1,2,3\n")
