@@ -42,8 +42,6 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
     num = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     vx = math.fsum((x - mx) ** 2 for x in xs)
     vy = math.fsum((y - my) ** 2 for y in ys)
-    if vx == 0 or vy == 0:
-        raise ParameterError("zero variance in positions; correlation is undefined")
     return num / math.sqrt(vx * vy)
 
 

@@ -48,13 +48,19 @@ def _add_input_args(sub: argparse.ArgumentParser, default_fmt: str = "json") -> 
                      default=default_fmt, help=f"output format (default: {default_fmt})")
 
 
-def _add_score_args(sub: argparse.ArgumentParser) -> None:
+def _add_score_args(sub: argparse.ArgumentParser, weights: bool = True) -> None:
+    """The threshold flags and, with ``weights``, the weight flags; a command
+    that prints only the supported patterns takes no weights, as those
+    patterns depend on ``q`` alone."""
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--q", type=int, default=None,
                        help="absolute support threshold (1..N)")
     group.add_argument("--q-frac", default="1/2",
                        help="threshold as a fraction of N, e.g. 0.5 or 2/3 "
                             "(default: %(default)s); q = ceil(frac * N)")
+    if not weights:
+        sub.set_defaults(gamma=1.0, lam=1.0)
+        return
     sub.add_argument("--gamma", type=float, default=1.0,
                      help="item weight base in (0, 1]; below 1 discounts items "
                           "far from their mean position (default: 1)")
@@ -76,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_patterns = sub.add_parser("patterns", help="supported single items and ordered pairs")
     _add_input_args(p_patterns)
-    _add_score_args(p_patterns)
+    _add_score_args(p_patterns, weights=False)
 
     p_out = sub.add_parser("outliers", help="flag rankings far below the mean scores")
     _add_input_args(p_out)
@@ -192,6 +198,8 @@ def _reject_separator_values(argv: list[str]) -> None:
 def _check_flags(args: argparse.Namespace) -> None:
     """Raise for a flag that the chosen command or measure would ignore, or
     for ``--topk`` missing where the measure needs it."""
+    if args.command == "outliers" and args.remove and args.out_format == "csv":
+        raise ParameterError("--remove applies only with --format json")
     if args.command == "outliers" and args.absolute_q and not args.remove:
         raise ParameterError("--absolute-q applies only with --remove")
     if args.command != "correlate":

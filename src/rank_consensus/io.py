@@ -62,8 +62,9 @@ MAX_VOTES = 10**6
 def _parse_ranking(text: str, where: str, names: dict[str, str]) -> list[tuple[str, ...]]:
     """The tie blocks of one ranking's text, as tuples, or a
     :class:`ParseError` for its first fault from the left. Each item is the
-    one ``str`` that ``names`` keeps for its text, added on first sight, so
-    a file's rankings share one object per item name."""
+    ``str`` that ``names`` keeps for its text, the text itself added on first
+    sight, so a file's rankings share one object per item name, and a
+    preflib file's declared indices come back as their names."""
     if not text.strip():
         raise ParseError(f"{where}: empty ranking")
     blocks: list[tuple[str, ...]] = []
@@ -139,9 +140,10 @@ def _clip(text: str, quote=str) -> str:
 
 
 def _parse_preflib(text: str, source: str) -> RankingSet:
-    names: dict[str, str] = {}  # each alternative's index to its name
-    named: dict[str, str] = {}  # and back
-    tokens: dict[str, str] = {}
+    # each alternative's index to its name, and from the first vote, which
+    # closes the declarations, each other token to itself
+    names: dict[str, str] = {}
+    named: dict[str, str] = {}  # each name back to its index
     rankings: list[Ranking] = []
     n_votes = 0
     for lineno, raw in enumerate(_lines(text), start=1):
@@ -190,11 +192,12 @@ def _parse_preflib(text: str, source: str) -> RankingSet:
         if n_votes > MAX_VOTES:
             raise ParseError(f"{where}: vote count {count} brings the file's total "
                              f"to {n_votes}, above the limit of {MAX_VOTES}")
-        blocks = _parse_ranking(order_text, where, tokens)
+        blocks = _parse_ranking(order_text, where, names)
         try:
-            ranking = Ranking([names.get(t, t) for t in block] for block in blocks)
+            ranking = Ranking(blocks)
         except ValueError as exc:
-            _ranking(blocks, where)  # a fault of the tokens as written comes first
+            # a fault of the tokens as written comes first
+            _ranking(_parse_ranking(order_text, where, {}), where)
             raise ParseError(f"{where}: after renaming: {exc}") from exc
         rankings.extend([ranking] * count)
     if not rankings:
@@ -484,8 +487,11 @@ def _score_table(report: ConsensusReport, outliers: OutlierReport | None) -> str
 def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
                 fmt: str = "json", *, rescored: ConsensusReport | None = None) -> str:
     """Serialise a report. ``rescored`` attaches a post-removal consensus run
-    to an outlier report (JSON only; the CSV table keeps its fixed columns)."""
+    to an outlier report as JSON; with any other report, or as CSV, whose
+    table keeps its fixed columns, it is a :class:`ParameterError`."""
     _check_fmt(fmt)
+    if rescored is not None and (fmt == "csv" or not isinstance(report, OutlierReport)):
+        raise ParameterError("a rescored run is printed only with an outlier report as JSON")
     if isinstance(report, ConsensusReport):
         if fmt == "csv":
             return _score_table(report, None)

@@ -145,12 +145,92 @@ def test_topk_parameter_errors_name_no_ranking_pair(example_file, capsys, argv):
     (("correlate", "--ell", "3"), "--ell"),
     (("correlate", "--measure", "kendall_topk", "--topk", "2", "--ell", "3"), "--ell"),
     (("outliers", "--absolute-q"), "--absolute-q"),
+    (("outliers", "--remove", "--format", "csv"), "--remove"),
+    (("outliers", "--remove", "--absolute-q", "--format", "csv"), "--remove"),
 ])
 def test_a_flag_the_command_would_ignore_exits_one_naming_it(example_file, capsys, argv,
                                                              flag):
     code, out, err = run(capsys, argv[0], example_file, *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("options", [["--remove"], ["--remove", "--absolute-q"]])
+def test_remove_with_a_csv_report_exits_one_before_reading_the_input(capsys, options):
+    code, out, err = run(capsys, "outliers", "/no/such/file", "--format", "csv", *options)
+    assert (code, out) == (1, "")
+    assert err == "error: --remove applies only with --format json\n"
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--lambda"])
+def test_patterns_takes_no_weights(example_file, capsys, flag):
+    # the supported patterns depend on q alone
+    code, out, err = run(capsys, "patterns", example_file, flag, "0.5")
+    assert (code, out) == (1, "")
+    assert flag in err
+    assert cli.main(["patterns", "--help"]) == 0
+    assert flag not in capsys.readouterr().out
+
+
+# Each optional flag of the scoring commands, with one command line on which
+# it changes stdout, or ends in exit 1 with one error line, under each
+# --format: (command, flag) to (the rest of the line, the flag and its value).
+# The input's six votes flag votes 2 and 5 at the default q = 3, and the
+# survivors' rescaled q is 2
+FLAG_USES = {
+    ("score", "--q"): ([], ["--q", "2"]),
+    ("score", "--q-frac"): ([], ["--q-frac", "2/3"]),
+    ("score", "--gamma"): ([], ["--gamma", "0.5"]),
+    ("score", "--lambda"): ([], ["--lambda", "0.5"]),
+    ("score", "--input-format"): ([], ["--input-format", "preflib"]),
+    ("patterns", "--q"): ([], ["--q", "2"]),
+    ("patterns", "--q-frac"): ([], ["--q-frac", "2/3"]),
+    ("patterns", "--input-format"): ([], ["--input-format", "preflib"]),
+    ("outliers", "--q"): ([], ["--q", "2"]),
+    ("outliers", "--q-frac"): ([], ["--q-frac", "2/3"]),
+    ("outliers", "--gamma"): ([], ["--gamma", "0.5"]),
+    ("outliers", "--lambda"): ([], ["--lambda", "0.5"]),
+    ("outliers", "--input-format"): ([], ["--input-format", "preflib"]),
+    ("outliers", "--eps1"): (["--eps2", "5"], ["--eps1", "5"]),
+    ("outliers", "--eps2"): (["--eps1", "5"], ["--eps2", "5"]),
+    ("outliers", "--remove"): ([], ["--remove"]),
+    ("outliers", "--absolute-q"): (["--remove"], ["--absolute-q"]),
+    ("sweep", "--q-fracs"): ([], ["--q-fracs", "2/3"]),
+    ("sweep", "--gammas"): ([], ["--gammas", "0.5"]),
+    ("sweep", "--lambdas"): ([], ["--lambdas", "0.5"]),
+    ("sweep", "--input-format"): ([], ["--input-format", "preflib"]),
+}
+
+
+def optional_flags():
+    """``(subcommand, flag)`` of every option of the scoring commands but
+    ``--help`` and ``--format``, which :data:`FLAG_USES` runs under."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[-1])
+            for command in ("score", "patterns", "outliers", "sweep")
+            for action in sub.choices[command]._actions
+            if action.option_strings[-1:] not in ([], ["--help"], ["--format"])]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command, flag", sorted(set(optional_flags()) | set(FLAG_USES)))
+def test_every_flag_changes_stdout_or_exits_one(tmp_path, capsys, command, flag, fmt):
+    assert (command, flag) in optional_flags(), f"{command} has no {flag}"
+    assert (command, flag) in FLAG_USES, f"no command line shows a use of {command} {flag}"
+    path = tmp_path / "rankings.txt"
+    path.write_text("a,b,c,d,e,f\nb,c,d,e,f,a\nb,d,a,g,h,f\nb,a,c,d,f,e\na,b,c,d,e,f\nh,g\n")
+    rest, use = FLAG_USES[command, flag]
+    code, out, err = run(capsys, command, str(path), "--format", fmt, *rest, *use)
+    if code:
+        # refused: by a flag of the line, or as input the flag misreads
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err or any(a in err for a in (*rest, *use) if a.startswith("--"))
+        return
+    assert err == ""
+    without = run(capsys, command, str(path), "--format", fmt, *rest)
+    assert without[0] == 0 and without[1] != out
 
 
 def test_kendall_topk_penalty_defaults_to_zero(example_file, capsys):
@@ -516,7 +596,7 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
         "from rank_consensus import cli\n"
         f"path = {str(path)!r}\n"
         "weights = ['--gamma', '0.5', '--lambda', '0.3']\n"
-        "for argv in (['score', path, *weights], ['patterns', path, *weights],\n"
+        "for argv in (['score', path, *weights], ['patterns', path],\n"
         "             ['outliers', path, '--remove', *weights],\n"
         "             ['sweep', path, '--gammas', '1,0.5', '--lambdas', '0.3']):\n"
         "    assert cli.main(argv) == 0, argv\n"
@@ -576,7 +656,9 @@ def test_stdout_is_the_emitted_report_written_in_slices(tmp_path, monkeypatch, a
             raw = io.BytesIO()
             stream = io.TextIOWrapper(raw, encoding=encoding)
         monkeypatch.setattr(sys, "stdout", stream)
-        code = cli.main([argv[0], str(path), "--format", fmt, *argv[1:]])
+        # a CSV outlier table has no rescored run, so it is written without one
+        options = [a for a in argv[1:] if fmt == "json" or a != "--remove"]
+        code = cli.main([argv[0], str(path), "--format", fmt, *options])
         assert code == 0
         assert len(emitted) == 1
         data = raw.data if unbuffered else raw.getvalue()

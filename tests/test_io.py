@@ -367,6 +367,19 @@ def test_rescored_json_prints_the_surviving_indices(example_set):
     assert payload["rescored"]["n_rankings"] == 3
 
 
+@pytest.mark.parametrize("kind, fmt", [("outliers", "csv"), ("score", "json"), ("score", "csv"),
+                                       ("correlate", "json"), ("correlate", "csv")])
+def test_a_rescored_run_goes_only_with_an_outlier_report_as_json(example_set, kind, fmt):
+    params = ScoreParams(q=3)
+    rep = score(example_set, params)
+    out = detect_outliers(rep)
+    rescored = remove_and_rescore(example_set, out.flagged_indices, params)
+    report = {"outliers": out, "score": rep,
+              "correlate": pairwise_average(example_set, "kendall_topk", TopKParams(k=3))}[kind]
+    with pytest.raises(ParameterError, match="rescored"):
+        emit_report(report, fmt, rescored=rescored)
+
+
 def test_patterns_json(example_set):
     rep = score(example_set, ScoreParams(q=3))
     payload = json.loads(emit_patterns(rep))

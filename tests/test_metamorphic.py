@@ -47,6 +47,14 @@ def overall(report) -> tuple[float, float]:
     return report.overall_kappa1, report.overall_kappa2
 
 
+def flagged(report):
+    """The indices of the votes ``report`` flags, or the message that refuses them."""
+    try:
+        return detect_outliers(report).flagged_indices
+    except DegenerateConsensusError as exc:
+        return str(exc)
+
+
 @ROUTES
 @settings(max_examples=40, deadline=None)
 @given(voted_sets_st())
@@ -70,6 +78,32 @@ def test_shuffling_the_votes_permutes_the_rows_and_keeps_the_overall_kappas(rout
         assert overall(moved) == overall(report)
         rows = per_vote(report)
         assert per_vote(moved) == [rows[i] for i in order]
+
+
+@ROUTES
+@settings(max_examples=40, deadline=None)
+@given(voted_sets_st())
+def test_duplicating_every_vote_at_twice_q_flags_both_copies_of_each_flagged_vote(route, votes):
+    doubled = counted(votes + votes, route)
+    for (q, gamma, lam), report in runs(votes, route):
+        want = flagged(report)
+        if isinstance(want, list):
+            want = want + [i + len(votes) for i in want]
+        assert flagged(score(doubled, ScoreParams(q=2 * q, gamma=gamma, lam=lam))) == want
+
+
+@ROUTES
+@settings(max_examples=40, deadline=None)
+@given(voted_sets_st(), st.randoms(use_true_random=False))
+def test_shuffling_the_votes_permutes_the_flags(route, votes, rng):
+    order = list(range(len(votes)))
+    rng.shuffle(order)
+    shuffled = counted([votes[i] for i in order], route)
+    for (q, gamma, lam), report in runs(votes, route):
+        want = flagged(report)
+        if isinstance(want, list):
+            want = [j for j, i in enumerate(order) if i in want]
+        assert flagged(score(shuffled, ScoreParams(q=q, gamma=gamma, lam=lam))) == want
 
 
 @ROUTES
