@@ -31,10 +31,6 @@ def _require_comparable(a: Ranking, b: Ranking) -> None:
         raise ParameterError("need at least two items to correlate")
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _pearson(xs: list[float], ys: list[float]) -> float:
     n = len(xs)
     mx = math.fsum(xs) / n
@@ -65,9 +61,9 @@ class TopKParams:
             raise ParameterError(f"p must be in [0, 1], got {self.p}")
         if self.ell is not None and self.ell < self.k + 1:
             raise ParameterError(f"ell must be at least k + 1 = {self.k + 1}, got {self.ell}")
-        # positions are floats: above 2**53 they are no longer exact, by
-        # 10**100 cancellation gives a wrong rho and by 10**155 its sums
-        # overflow
+        # _pearson sums positions as floats: above 2**53 they are no longer
+        # exact, by 10**100 cancellation gives a wrong rho and by 10**155
+        # its sums overflow
         if self.ell is not None and self.ell > 2**53:
             raise ParameterError(f"ell must be at most 2**53 = {2**53}, got {self.ell}")
 
@@ -76,23 +72,19 @@ class TopKParams:
         return self.k + 1 if self.ell is None else self.ell
 
 
-def _topk_prefixes(a: Ranking, b: Ranking, k: int) -> tuple[dict[str, int], dict[str, int]]:
+def _topk_prefixes(a: Ranking, b: Ranking, k: int,
+                   missing: int) -> tuple[list[int], list[int]]:
+    """Each item of the union of the two top-k prefixes, in name order: its
+    position in ``a``'s prefix and in ``b``'s, or ``missing`` where the
+    prefix lacks it."""
     _require_strict(a, "first ranking")
     _require_strict(b, "second ranking")
     if k > len(a) or k > len(b):
         raise ParameterError(f"k={k} exceeds a ranking's length ({len(a)} and {len(b)})")
-    pos_a = {t: i for i, t in enumerate(a.items[:k], start=1)}
-    pos_b = {t: i for i, t in enumerate(b.items[:k], start=1)}
-    return pos_a, pos_b
-
-
-def _order(px: int | None, py: int | None) -> int:
-    # Missing items sit below every listed one.
-    if px is None:
-        return 1
-    if py is None:
-        return -1
-    return _sign(px - py)
+    pos_a = dict(zip(a.items[:k], range(1, k + 1)))
+    pos_b = dict(zip(b.items[:k], range(1, k + 1)))
+    union = sorted(pos_a.keys() | pos_b.keys())
+    return [pos_a.get(t, missing) for t in union], [pos_b.get(t, missing) for t in union]
 
 
 def kendall_tau_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
@@ -106,22 +98,22 @@ def kendall_tau_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
         (0 = neutral-pessimistic, 1/2 = random, 1 = optimistic).
     The sum is normalised by the number of union pairs.
     """
-    pos_a, pos_b = _topk_prefixes(a, b, params.k)
-    union = sorted(set(pos_a) | set(pos_b))
-    n_pairs = len(union) * (len(union) - 1) // 2
+    # a missing item sits at k + 1, below every listed one, so a pair's
+    # order in a list is the sign of its position difference, and 0 marks a
+    # pair absent from that list
+    xs, ys = _topk_prefixes(a, b, params.k, params.k + 1)
+    n_pairs = len(xs) * (len(xs) - 1) // 2
     if n_pairs == 0:
         raise ParameterError("top-k union has fewer than two items")
     # the decided pairs sum as an integer and p is added once, so the value
     # does not depend on the order in which the item names sort
-    decided = undecided = 0
-    for x, y in combinations(union, 2):
-        ax, ay = pos_a.get(x), pos_a.get(y)
-        bx, by = pos_b.get(x), pos_b.get(y)
-        if (ax is None and ay is None) or (bx is None and by is None):
-            undecided += 1
-        else:
-            decided += _order(ax, ay) * _order(bx, by)
-    return (decided + params.p * undecided) / n_pairs
+    concordant = discordant = 0
+    for (ax, bx), (ay, by) in combinations(zip(xs, ys), 2):
+        agreement = (ax - ay) * (bx - by)
+        concordant += agreement > 0
+        discordant += agreement < 0
+    undecided = n_pairs - concordant - discordant
+    return (concordant - discordant + params.p * undecided) / n_pairs
 
 
 def spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
@@ -130,13 +122,9 @@ def spearman_rho_topk(a: Ranking, b: Ranking, params: TopKParams) -> float:
     Items missing from a prefix are charged the fixed position ``ell``
     (default ``k + 1``), then positions are Pearson-correlated as usual.
     """
-    pos_a, pos_b = _topk_prefixes(a, b, params.k)
-    union = sorted(set(pos_a) | set(pos_b))
-    if len(union) < 2:
+    xs, ys = _topk_prefixes(a, b, params.k, params.resolved_ell)
+    if len(xs) < 2:
         raise ParameterError("top-k union has fewer than two items")
-    ell = float(params.resolved_ell)
-    xs = [float(pos_a.get(t, ell)) for t in union]
-    ys = [float(pos_b.get(t, ell)) for t in union]
     return _pearson(xs, ys)
 
 

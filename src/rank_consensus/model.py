@@ -88,7 +88,7 @@ class Ranking:
 
     @property
     def is_strict(self) -> bool:
-        return all(len(block) == 1 for block in self.blocks)
+        return len(self.blocks) == len(self._positions)
 
     def __len__(self) -> int:
         """Number of ranked items (counting every member of every block)."""

@@ -111,13 +111,14 @@ def kendall_topk_summed_in_name_order(a, b, params):
 def test_topk_tau_does_not_depend_on_item_names(p):
     # 200 top-20 pairs from 40 items, and the same lists under a renaming
     # that reverses the names' sort order; summed pair by pair in name
-    # order, 186 of them changed in the last bits at p = 0.3
+    # order, 186 of them changed in the last bits at p = 0.3. Then 200 pairs
+    # of 25-item lists, whose top-20 prefixes drop each list's tail
     rng = random.Random(0)
     names = [f"i{j:02d}" for j in range(40)]
     renamed = dict(zip(names, reversed(names)))
     params = TopKParams(k=20, p=p)
-    for _ in range(200):
-        a, b = (rng.sample(names, 20) for _ in range(2))
+    for size in [20] * 200 + [25] * 200:
+        a, b = (rng.sample(names, size) for _ in range(2))
         value = kendall_tau_topk(Ranking.strict(a), Ranking.strict(b), params)
         mirror = kendall_tau_topk(Ranking.strict([renamed[x] for x in a]),
                                   Ranking.strict([renamed[x] for x in b]), params)
@@ -354,10 +355,9 @@ def test_spearman_matches_scipy(pair):
 @given(strict_pair())
 def test_pairwise_measures_are_symmetric(pair):
     a, b = pair
-    assert kendall_tau(a, b) == pytest.approx(kendall_tau(b, a), abs=1e-15)
-    assert spearman_rho(a, b) == pytest.approx(spearman_rho(b, a), abs=1e-15)
+    # Kendall sums integers, and _pearson's products and vx * vy commute
+    assert kendall_tau(a, b).hex() == kendall_tau(b, a).hex()
+    assert spearman_rho(a, b).hex() == spearman_rho(b, a).hex()
     params = TopKParams(k=3, p=0.5)
-    assert kendall_tau_topk(a, b, params) == pytest.approx(
-        kendall_tau_topk(b, a, params), abs=1e-15)
-    assert spearman_rho_topk(a, b, params) == pytest.approx(
-        spearman_rho_topk(b, a, params), abs=1e-15)
+    assert kendall_tau_topk(a, b, params).hex() == kendall_tau_topk(b, a, params).hex()
+    assert spearman_rho_topk(a, b, params).hex() == spearman_rho_topk(b, a, params).hex()

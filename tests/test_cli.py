@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rank_consensus import cli, model, reference, scores
+
+from conftest import bench_votes
 
 
 @pytest.fixture
@@ -116,6 +119,28 @@ def test_correlate_topk(example_file, capsys):
                        "--measure", "kendall_topk", "--topk", "3", "--penalty", "0.5")
     assert code == 0
     assert json.loads(out)["measure"] == "kendall_topk"
+
+
+@pytest.mark.parametrize("generator, shrink, argv, digest", [
+    ("election_votes", {"n_votes": 300}, ("--measure", "kendall"),
+     "9a08c7ba3c8938313c8c20affa264418dc9a5edfa5dc9536562d617634574e59"),
+    ("election_votes", {"n_votes": 300}, ("--measure", "kendall", "--format", "csv"),
+     "1f786f840fa8e4967e8e1c35b2e96b931d14b5bebcb9e24aca737bb2aa6e5e14"),
+    ("election_votes", {"n_votes": 300}, ("--measure", "spearman"),
+     "6b0e552d7b57b7247a144088da9a8ef8834faedde1b52bc5f4d8cf049490ffcf"),
+    ("retrieval_lists", {"n_lists": 12, "k": 20, "pool": 80},
+     ("--measure", "kendall_topk", "--topk", "10", "--penalty", "0.3"),
+     "d50869280e3ac241b23a3d840ef6b0054e912e3f79362c679ea92b12ea026df5"),
+    ("retrieval_lists", {"n_lists": 12, "k": 20, "pool": 80},
+     ("--measure", "spearman_topk", "--topk", "10", "--ell", "14"),
+     "cc33de51a4caeaa017385ff820a0977981f7fa914da152db198ab6d23839f5c7"),
+])
+def test_correlate_prints_the_recorded_bytes(tmp_path, capsys, generator, shrink, argv, digest):
+    path = tmp_path / "votes.txt"
+    path.write_text("".join(",".join(r.items) + "\n" for r in bench_votes(generator, **shrink)))
+    code, out, err = run(capsys, "correlate", str(path), *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_correlate_requires_topk_flag(example_file, capsys):

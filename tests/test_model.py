@@ -107,6 +107,7 @@ def test_every_item_contains_itself(r):
     for x in r.items:
         assert contains_pattern(r, x, x)
         assert 1 <= r.position(x) <= len(r.blocks)
+    assert r.is_strict == all(len(b) == 1 for b in r.blocks)
 
 
 @given(rankings_st())
