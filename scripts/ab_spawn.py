@@ -11,7 +11,9 @@ swapping from rep to rep, and the script exits 1 as soon as a run fails or
 the two runs print different bytes. A run is timed from launch to the end
 of its stdout, as the benchmark times it; its CPU time, user and system,
 comes from its own ``wait4`` record. The script prints each side's
-quartiles of both and the number of reps in which the change was faster.
+quartiles of both, the number of reps in which the change was faster, and
+the quartiles of each rep's change/parent wall ratio. Side medians drift
+with the machine's load between rounds; a rep's two runs share it.
 
 ``ab_inproc.py`` times ``cli.main`` inside one process and so cannot see
 what a run pays to start and to exit; this script sees all of it, at the
@@ -46,9 +48,9 @@ def spawn(argv: list[str], env: dict[str, str]) -> tuple[int, float, float, str]
     return proc.returncode, wall, usage.ru_utime + usage.ru_stime, digest.hexdigest()
 
 
-def quartiles(values: list[float]) -> str:
+def quartiles(values: list[float], unit: str = " s") -> str:
     q1, median, q3 = statistics.quantiles(values, n=4)
-    return f"median {median:.4f} s, quartiles [{q1:.4f}, {q3:.4f}]"
+    return f"median {median:.4f}{unit}, quartiles [{q1:.4f}, {q3:.4f}]"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{side}: wall {quartiles(walls[side])}; cpu {quartiles(cpus[side])}")
     wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
     print(f"change faster in {wins} of {args.reps} reps")
+    ratios = [c / p for p, c in zip(walls["parent"], walls["change"])]
+    print(f"change/parent wall ratio per rep: {quartiles(ratios, unit='')}")
     return 0
 
 

@@ -21,10 +21,10 @@ strings) or CSV. Both are deterministic: equal inputs give byte-equal
 output. JSON is laid out here, byte for byte as ``json.dumps`` lays it out
 with ``indent=2``. Supported patterns are printed in the sorted order the
 report holds them in. Votes that repeat a ranking repeat its per-vote rows,
-so each distinct ranking's row is rendered once, and each run of consecutive
-votes of one ranking (a preflib ``count:`` line is one) becomes a single
-join of that text over the votes' indices. A report is returned as one
-string, joined from these pieces; the CLI writes it out in slices.
+so each distinct ranking's row is rendered once, and each of the set's
+``runs`` (a preflib ``count:`` line is one) becomes a single join of that
+text over the votes' indices, made once per report. A report is returned as
+one string, joined from these pieces; the CLI writes it out in slices.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from types import SimpleNamespace
@@ -245,10 +245,12 @@ def _check_fmt(fmt: str) -> None:
 
 @dataclass(frozen=True)
 class _Rows:
-    """One row per vote: vote ``i`` of type ``t`` gets ``fields(keys[t])``
-    after its index. Every type has votes; ``fields`` is called once per type."""
+    """One row per vote: a set's run ``(t, start, stop)`` gives its votes
+    ``fields(keys[t])`` after their indices, the text ``index[i]`` for vote
+    ``i``; ``fields`` is called once per type."""
 
-    type_of: Sequence[int]
+    runs: Sequence[tuple[int, int, int]]
+    index: Sequence[str]
     keys: Sequence
     fields: Callable
 
@@ -258,16 +260,14 @@ def _add_rows(rows: _Rows, layout: Callable[[object], list[str]], between: str,
     """Append every vote's row to ``out``, with ``between`` between rows.
 
     ``layout(fields)`` gives the parts of a type's row, once per type, and
-    vote ``i``'s row is ``str(i).join(parts)``. Each run of consecutive
-    votes of one type is a single join over their indices.
+    vote ``i``'s row is ``rows.index[i].join(parts)``. Each run is a single
+    join over its votes' indices.
     """
     laid_out = [layout(rows.fields(key)) for key in rows.keys]
     sep = ""
-    stop = 0
-    for t, run in groupby(rows.type_of):
-        start, stop = stop, stop + len(list(run))
+    for t, start, stop in rows.runs:
         parts = laid_out[t]
-        indices = map(str, range(start, stop))
+        indices = rows.index[start:stop]
         if len(parts) == 2:
             head, tail = parts
             out += (sep, head, (tail + between + head).join(indices), tail)
@@ -355,9 +355,6 @@ def _render(value, out: list[str], depth: int = 0) -> None:
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(value, _Rows):
-        if not value.type_of:
-            out.append("[]")
-            return
         head = "{" + inner + '  "index": '
 
         def layout(fields: dict) -> list[str]:
@@ -405,12 +402,12 @@ def _csv_table(head: str, rows: _Rows) -> str:
     return "".join(out)
 
 
-def _sets_payload(report: ConsensusReport) -> dict:
+def _sets_payload(report: ConsensusReport, index: list[str]) -> dict:
     sets = report.sets
     return {
         "singles": sets.singles,
         "pairs": sets.pairs,
-        "per_ranking": _Rows(report.type_of, sets.per_type, _support_fields),
+        "per_ranking": _Rows(report.rset.runs, index, sets.per_type, _support_fields),
     }
 
 
@@ -450,7 +447,7 @@ def _deviation_fields(key: tuple) -> dict:
     }
 
 
-def _consensus_payload(report: ConsensusReport) -> dict:
+def _consensus_payload(report: ConsensusReport, index: list[str]) -> dict:
     return {
         "params": {
             "q": report.params.q,
@@ -464,7 +461,7 @@ def _consensus_payload(report: ConsensusReport) -> dict:
             "kappa1_display": _disp(report.overall_kappa1),
             "kappa2_display": _disp(report.overall_kappa2),
         },
-        "per_ranking": _Rows(report.type_of, report.per_type, _score_fields),
+        "per_ranking": _Rows(report.rset.runs, index, report.per_type, _score_fields),
     }
 
 
@@ -481,7 +478,8 @@ def _score_table(report: ConsensusReport, outliers: OutlierReport | None) -> str
         v1, v2, flagged = ("", "", False) if dev is None else (repr(dev[0]), repr(dev[1]), dev[2])
         return [[m, repr(kappa1), repr(kappa2), v1, v2, "true" if flagged else "false"]]
 
-    return _csv_table(_csv([_SCORE_COLUMNS]), _Rows(report.type_of, keys, cells))
+    index = list(map(str, range(report.n_rankings)))
+    return _csv_table(_csv([_SCORE_COLUMNS]), _Rows(report.rset.runs, index, keys, cells))
 
 
 def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
@@ -495,22 +493,26 @@ def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
     if isinstance(report, ConsensusReport):
         if fmt == "csv":
             return _score_table(report, None)
-        payload = _consensus_payload(report)
-        payload["support"] = _sets_payload(report)
+        index = list(map(str, range(report.n_rankings)))
+        payload = _consensus_payload(report, index)
+        payload["support"] = _sets_payload(report, index)
         return _json(payload)
     if isinstance(report, OutlierReport):
         if fmt == "csv":
             return _score_table(report.consensus, report)
+        # the rescored run's vote indices are a prefix of these
+        n = max(report.consensus.n_rankings, 0 if rescored is None else rescored.n_rankings)
+        index = list(map(str, range(n)))
         payload = {
             "thresholds": {"eps1": report.eps1, "eps2": report.eps2},
-            "consensus": _consensus_payload(report.consensus),
-            "per_ranking": _Rows(report.consensus.type_of, report.per_type,
+            "consensus": _consensus_payload(report.consensus, index),
+            "per_ranking": _Rows(report.consensus.rset.runs, index, report.per_type,
                                  _deviation_fields),
             "flagged_indices": report.flagged_indices,
         }
         if rescored is not None:
             kept = rescored.original_indices
-            rescored_payload = _consensus_payload(rescored)
+            rescored_payload = _consensus_payload(rescored, index)
             rescored_payload["original_indices"] = list(
                 range(rescored.n_rankings) if kept is None else kept)
             payload["rescored"] = rescored_payload
@@ -533,12 +535,14 @@ def emit_report(report: ConsensusReport | OutlierReport | PairwiseAverages,
 def emit_patterns(report: ConsensusReport, fmt: str = "json") -> str:
     """The supported-pattern sets of a scoring run."""
     _check_fmt(fmt)
+    index = list(map(str, range(report.n_rankings)))
     if fmt == "csv":
         head = _csv([["scope", "kind", "first", "second"],
                      *(["set", *cells] for cells in _pattern_cells(report.sets))])
-        return _csv_table(head, _Rows(report.type_of, report.sets.per_type, _pattern_cells))
+        return _csv_table(head, _Rows(report.rset.runs, index, report.sets.per_type,
+                                      _pattern_cells))
     payload = {"q": report.params.q, "n_rankings": report.n_rankings}
-    payload.update(_sets_payload(report))
+    payload.update(_sets_payload(report, index))
     return _json(payload)
 
 

@@ -34,6 +34,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
@@ -106,27 +107,34 @@ class RankingSet:
     Votes are deduplicated here once: ``types`` holds the distinct rankings
     in first-appearance order, ``type_of[l]`` vote ``l``'s type, read-only
     ``votes[t]`` the votes of type ``t``, and the universe the types' items.
+    ``runs`` tiles the votes with ``(type, start, stop)``, one per run of
+    consecutive votes that are one object, as a preflib ``count:`` line is.
     All consensus quantities are functions of ``(RankingSet, q, gamma, lambda)``.
     """
 
     rankings: tuple[Ranking, ...]
     types: tuple[Ranking, ...] = field(init=False, repr=False, compare=False)
     type_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    runs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
     votes: np.ndarray = field(init=False, repr=False, compare=False)
     universe: frozenset[str] = field(init=False, compare=False)
 
     def __init__(self, rankings: Iterable[Ranking]):
-        rs = tuple(rankings)  # keeps every vote alive while its id is a key
+        rs = tuple(rankings)  # holds every vote, so equal ids are one object
         if not rs:
             raise ValueError("a ranking set needs at least one ranking")
-        index: dict[Ranking, int] = {}  # votes sharing one object are hashed once
-        by_id = {i: index.setdefault(r, len(index)) for i, r in {id(r): r for r in rs}.items()}
-        type_of = tuple([by_id[id(r)] for r in rs])
+        index: dict[Ranking, int] = {}  # one ranking per run is hashed
+        runs, stop = [], 0
+        for _, run in groupby(map(id, rs)):
+            start, stop = stop, stop + len(list(run))
+            runs.append((index.setdefault(rs[start], len(index)), start, stop))
+        type_of = tuple(chain.from_iterable(repeat(t, stop - start) for t, start, stop in runs))
         votes = np.bincount(type_of)
         votes.flags.writeable = False
         object.__setattr__(self, "rankings", rs)
         object.__setattr__(self, "types", tuple(index))
         object.__setattr__(self, "type_of", type_of)
+        object.__setattr__(self, "runs", tuple(runs))
         object.__setattr__(self, "votes", votes)
         object.__setattr__(self, "universe", frozenset().union(*(r.item_set for r in index)))
 

@@ -14,7 +14,7 @@ import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
+from itertools import compress, filterfalse
 
 from .errors import DegenerateConsensusError, ParameterError
 from .model import RankingSet
@@ -100,12 +100,7 @@ def remove_and_rescore(rset: RankingSet, drop: Iterable[int], params: ScoreParam
         gone.add(index)
     if len(gone) == n_old:
         raise ParameterError("every ranking was dropped; nothing left to score")
-    kept = tuple(i for i in range(n_old) if i not in gone)
-    survivors = RankingSet(rset[i] for i in kept)
-    n_new = len(survivors)
-    if rescale_q:
-        q_new = -(-params.q * n_new // n_old)  # ceil(q * n_new / n_old)
-    else:
-        q_new = params.q
-    new_params = ScoreParams(q=q_new, gamma=params.gamma, lam=params.lam)
-    return replace(score(survivors, new_params), original_indices=kept)
+    kept = tuple(filterfalse(gone.__contains__, range(n_old)))
+    survivors = RankingSet(map(rset.rankings.__getitem__, kept))
+    q = -(-params.q * len(kept) // n_old) if rescale_q else params.q  # ceil(q * N' / N)
+    return replace(score(survivors, replace(params, q=q)), original_indices=kept)

@@ -619,6 +619,9 @@ def assert_emits_reference(rset, params):
 @given(voted_sets_st(), st.data())
 @example(RankingSet([Ranking.strict(["caf\u00e9"]), Ranking.strict(["x,y"])] * 3
                     + [Ranking([['say "hi"', "back\\slash"], ["two\nlines"]])]), None)
+# two adjacent runs of one ranking, each one object, as two count lines give them
+@example(RankingSet([Ranking.strict(["a", "x,y"])] * 2 + [Ranking.strict(["a", "x,y"])] * 2
+                    + [Ranking.strict(["x,y", "a"]), Ranking([["a", "caf\u00e9"]])]), None)
 def test_emission_equals_the_per_vote_reference(rset, data):
     if data is None:
         params = ScoreParams(q=3, gamma=0.5, lam=0.5)
@@ -651,17 +654,33 @@ def test_rows_are_rendered_once_per_distinct_ranking(monkeypatch):
 
             object.__setattr__(self, "fields", counted)
 
+    made = []  # per report, the ints that io turned into text
+
+    class CountingStr(str):
+        # io's {str} type checks then miss and lay the same text out item by item
+        def __new__(cls, value=""):
+            made[-1] += type(value) is int
+            return str(value)
+
+    def emit(emitter, *args, **kwargs):
+        made.append(0)
+        return emitter(*args, **kwargs)
+
     monkeypatch.setattr(rc_io, "_Rows", CountingRows)
+    monkeypatch.setattr(rc_io, "str", CountingStr, raising=False)
     params = ScoreParams(q=100)
     rep = score(rset, params)
     out = detect_outliers(rep, eps1=2, eps2=2)  # no vote flagged
     rescored = remove_and_rescore(rset, out.flagged_indices, params)
-    text = emit_report(rep)
-    for emitted in (emit_report(rep, "csv"), emit_patterns(rep), emit_patterns(rep, "csv"),
-                    emit_report(out, rescored=rescored), emit_report(out, "csv")):
+    text = emit(emit_report, rep)
+    for emitted in (emit(emit_report, rep, "csv"), emit(emit_patterns, rep),
+                    emit(emit_patterns, rep, "csv"), emit(emit_report, out, rescored=rescored),
+                    emit(emit_report, out, "csv")):
         assert emitted
     # score JSON: per-ranking scores and sets; outliers: scores, deviations, rescored
     assert rendered == [3, 3, 3, 3, 3, 3, 3, 3, 3]
+    # each vote index becomes text once per report, however many sections print it
+    assert made == [200] * 6
     assert len(per_vote(rescored)) == 200
     assert text.count('"index": ') == 400
 

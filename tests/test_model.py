@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TOKENS, bench_votes, rankings_st
-from rank_consensus import Ranking, RankingSet, model, reference
+from rank_consensus import Ranking, RankingSet, ScoreParams, model, reference, score
 from rank_consensus.model import lower_triangle
+from rank_consensus.outliers import remove_and_rescore
 from rank_consensus.reference import contains_pattern
 
 
@@ -260,6 +261,72 @@ def test_ranking_set_maps_each_vote_to_its_distinct_ranking(votes):
     assert rset.universe == frozenset().union(*(r.item_set for r in votes))
     copy = pickle.loads(pickle.dumps(rset))
     assert (copy.types, copy.type_of, copy.votes.tolist()) == (types, type_of, counts.tolist())
+
+
+@st.composite
+def vote_runs_st(draw):
+    """Votes laid out in runs over a few distinct rankings: a run repeats
+    one object, as a preflib count line does, or equal but distinct
+    objects, one per vote; a run may be a single vote, and runs of one
+    ranking may be adjacent or apart."""
+    pool = draw(st.lists(rankings_st(), min_size=1, max_size=4))
+    votes = []
+    for _ in range(draw(st.integers(1, 8))):
+        ranking, size = draw(st.sampled_from(pool)), draw(st.integers(1, 4))
+        shared = draw(st.booleans())
+        votes += [ranking if shared else Ranking(ranking.blocks) for _ in range(size)]
+    return votes
+
+
+@settings(max_examples=150, deadline=None)
+@given(vote_runs_st())
+def test_ranking_set_runs_tile_its_votes(votes):
+    rset = RankingSet(votes)
+    types, type_of = [], []  # a plain dedupe by value
+    for r in votes:
+        if r not in types:
+            types.append(r)
+        type_of.append(types.index(r))
+    assert list(rset.types) == types
+    assert rset.type_of == tuple(type_of)
+    assert rset.votes.tolist() == [type_of.count(t) for t in range(len(types))]
+    # the runs tile the votes in order, and each is all the votes of one
+    # object between two others
+    assert [start for _, start, _ in rset.runs] == [0, *(stop for _, _, stop in rset.runs[:-1])]
+    assert rset.runs[-1][2] == len(rset)
+    for t, start, stop in rset.runs:
+        assert start < stop
+        assert all(votes[i] is votes[start] and type_of[i] == t for i in range(start, stop))
+        assert start == 0 or votes[start - 1] is not votes[start]
+
+
+@settings(max_examples=150, deadline=None)
+@given(vote_runs_st(), st.data())
+def test_removal_equals_building_the_survivors_vote_by_vote(votes, data):
+    rset = RankingSet(votes)
+    n = len(rset)
+    # any index, or one inside a run, which splits it
+    inner = [i for _, start, stop in rset.runs for i in range(start + 1, stop)]
+    index = st.integers(0, n - 1)
+    if inner:
+        index |= st.sampled_from(inner)
+    drop = data.draw(st.lists(st.one_of(index, index.map(np.int64), index.map(np.int32)),
+                              max_size=n + 2))
+    gone = set(map(int, drop))
+    assume(len(gone) < n)
+    params = ScoreParams(q=data.draw(st.integers(1, n)),
+                         gamma=data.draw(st.sampled_from([1.0, 0.5])),
+                         lam=data.draw(st.sampled_from([1.0, 0.7])))
+    got = remove_and_rescore(rset, drop, params)
+    kept = [i for i in range(n) if i not in gone]
+    survivors = RankingSet([rset[i] for i in kept])
+    want = score(survivors, ScoreParams(q=-(-params.q * len(kept) // n), gamma=params.gamma,
+                                        lam=params.lam))
+    assert got.original_indices == tuple(kept)
+    assert got.params == want.params
+    assert (got.type_of, got.rset.runs) == (survivors.type_of, survivors.runs)
+    for name in ("kappa1", "kappa2"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("route", ["default", "dense", "unique"])

@@ -90,6 +90,9 @@ def test_ab_spawn_alternates_two_trees_in_child_processes(capsys, monkeypatch):
         assert re.fullmatch(rf"{side}: wall median \S+ s, quartiles \[\S+, \S+\]; "
                             r"cpu median \S+ s, quartiles \[\S+, \S+\]", line)
     assert re.fullmatch(r"change faster in [0-2] of 2 reps", out[3])
+    assert re.fullmatch(r"change/parent wall ratio per rep: median \S+, quartiles \[\S+, \S+\]",
+                        out[4])
+    assert len(out) == 5
 
 
 def test_ab_spawn_fails_when_the_outputs_differ(tmp_path, capsys, monkeypatch):
